@@ -10,24 +10,61 @@ comparison (paper §4.2 vs §4.3) clean:
   indexes, whose leaves hold ids ("offsets") instead of series.
 - a driver-side *leaf directory* (min/max z-key, count, per-segment
   symbol bounds): the in-memory internal levels of the tree/trie.
-- a persisted Spark DataFrame of summaries in file order: the paper's
-  "in-memory summarizations" used by the SIMS exact search.
+- driver-resident :class:`Summaries` (SAX words, ids, ranks, leaf ids
+  as numpy arrays in file order): the paper's "in-memory
+  summarizations" used by the SIMS exact search, loaded from
+  ``leaves/`` on first use.
+
+Spark writes the files; queries read them back with ``pyarrow.parquet``
+one part file at a time, so answering a query starts no Spark job.
 
 They differ only in how ranks map to leaves (median/equi split vs
 prefix split) and in construction cost accounting.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.storage.disk_model import DiskConfig, DiskModel
 
 SUMMARY_COLS = ["id", "zkey", "sax", "paa", "rank", "leaf_id"]
+
+
+def _part_files(directory: str) -> list[str]:
+    """The Parquet part files Spark wrote into ``directory``, by name
+    (``_SUCCESS`` and hidden ``.crc`` checksums skipped)."""
+    return sorted(
+        os.path.join(directory, f)
+        for f in os.listdir(directory)
+        if not f.startswith(("_", "."))
+    )
+
+
+def _read_part(path: str, columns: list[str] | None) -> pa.Table:
+    """One part file.  Query-time reads and ``to_pandas`` conversions run
+    on the calling thread (``use_threads=False``): the data is small, and
+    Arrow's pool threads would each grow a malloc arena in the driver."""
+    with pq.ParquetFile(path) as pf:
+        return pf.read(columns=columns, use_threads=False)
+
+
+@dataclass
+class Summaries:
+    """The SAX words of all N records in file (rank) order, with the
+    id, rank and leaf of each: Algorithm 5's in-memory summarizations."""
+
+    sax: np.ndarray       # (N, w) symbols
+    id: np.ndarray
+    rank: np.ndarray
+    leaf_id: np.ndarray
 
 
 @dataclass
@@ -44,10 +81,9 @@ class CoconutIndex:
     materialized: bool
     n_series: int
     directory: pd.DataFrame      # leaf_id,min_zkey,max_zkey,count (+sax bounds)
-    summaries: DataFrame         # persisted, file (rank) order
     build_disk: DiskModel        # construction I/O accounting
     disk_config: DiskConfig
-    summaries_loaded: bool = False  # SIMS lazy-load flag (Algorithm 5 l.3-4)
+    summaries: Summaries | None = None  # resident once loaded (Algorithm 5 l.3-4)
     extra: dict = field(default_factory=dict)
 
     # -- derived stats (Fig 8c) -------------------------------------------
@@ -80,27 +116,68 @@ class CoconutIndex:
         return max(1, -(-count // per_block))
 
     # -- leaf access -------------------------------------------------------
-    def read_leaves(self, leaf_ids: list[int]) -> pd.DataFrame:
-        """Fetch leaf contents via partition-pruned Parquet read."""
+    def _leaf_dir(self, leaf_id: int) -> str:
+        return f"{self.path}/leaves/leaf_id={int(leaf_id)}"
+
+    def read_leaves(
+        self, leaf_ids: list[int], columns: list[str] | None = None
+    ) -> pd.DataFrame:
+        """Contents of the given leaves, read straight from their
+        ``leaf_id=k`` directories (``columns``: data columns to read,
+        default all); a ``leaf_id`` column is always appended."""
         if not leaf_ids:
-            return pd.DataFrame(columns=SUMMARY_COLS)
-        df = self.spark.read.parquet(f"{self.path}/leaves").where(
-            F.col("leaf_id").isin([int(i) for i in leaf_ids])
-        )
-        return df.toPandas()
+            return pd.DataFrame(columns=[*(columns or SUMMARY_COLS[:-1]), "leaf_id"])
+        parts = []
+        for lid in leaf_ids:
+            for f in _part_files(self._leaf_dir(lid)):
+                t = _read_part(f, columns)
+                parts.append(
+                    t.append_column("leaf_id", pa.array(np.full(len(t), lid, np.int64)))
+                )
+        return pa.concat_tables(parts).to_pandas(use_threads=False)
 
     def fetch_raw(self, ids: list[int]) -> pd.DataFrame:
         """Fetch raw series by id (secondary indexes only): the paper's
-        'go to the raw data file' step."""
+        'go to the raw data file' step.  Each part file's ids are read
+        first, and its series only where some id matches."""
         if not ids:
             return pd.DataFrame(columns=["id", "series"])
-        df = self.spark.read.parquet(f"{self.path}/raw").where(
-            F.col("id").isin([int(i) for i in ids])
+        want = np.asarray(ids, dtype=np.int64)
+        parts = []
+        for f in _part_files(f"{self.path}/raw"):
+            with pq.ParquetFile(f) as pf:
+                file_ids = pf.read(columns=["id"], use_threads=False).column(0)
+                rows = np.flatnonzero(np.isin(file_ids.to_numpy(), want))
+                if len(rows):
+                    t = pf.read(columns=["id", "series"], use_threads=False)
+                    parts.append(t.take(pa.array(rows)))
+        if not parts:
+            return pd.DataFrame(columns=["id", "series"])
+        return pa.concat_tables(parts).to_pandas(use_threads=False)
+
+    def load_summaries(self) -> Summaries:
+        """Read every leaf's (id, rank, sax) into numpy, in file order."""
+        ids, ranks, saxes, leaves = [], [], [], []
+        for lid in self.directory["leaf_id"]:
+            for f in _part_files(self._leaf_dir(lid)):
+                t = _read_part(f, ["id", "rank", "sax"])
+                ids.append(t.column("id").to_numpy())
+                ranks.append(t.column("rank").to_numpy())
+                sax = t.column("sax").combine_chunks().flatten()
+                saxes.append(sax.to_numpy().reshape(-1, self.w))
+                leaves.append(np.full(len(t), lid, np.int64))
+        rank = np.concatenate(ranks)
+        order = np.argsort(rank)
+        return Summaries(
+            sax=np.concatenate(saxes)[order],
+            id=np.concatenate(ids)[order],
+            rank=rank[order],
+            leaf_id=np.concatenate(leaves)[order],
         )
-        return df.toPandas()
 
     def close(self) -> None:
-        self.summaries.unpersist()
+        """Release the resident summaries."""
+        self.summaries = None
 
 
 def directory_from_summaries(summaries: DataFrame, w: int) -> pd.DataFrame:

@@ -68,7 +68,11 @@ def summarize_series(series_df: DataFrame, w: int, bits: int, *, keep_series: bo
 
 
 def _series_length(series_df: DataFrame) -> int:
-    return int(series_df.select(F.size("series").alias("n")).first()["n"])
+    """Length of the first series; an index over no series is an error."""
+    first = series_df.select(F.size("series").alias("n")).first()
+    if first is None:
+        raise ValueError("cannot build an index over an empty series DataFrame")
+    return int(first["n"])
 
 
 def charge_tree_build(
@@ -126,6 +130,7 @@ def build_coconut_tree(
         with_leaf, None if materialized else series_df, path, materialized=materialized
     )
     directory = directory_from_summaries(with_leaf, w)
+    with_leaf.unpersist()
     charge_tree_build(disk, n, materialized=materialized)
 
     return CoconutIndex(
@@ -139,7 +144,6 @@ def build_coconut_tree(
         materialized=materialized,
         n_series=n,
         directory=directory,
-        summaries=with_leaf,
         build_disk=disk,
         disk_config=cfg,
         extra={"build_wall_s": time.perf_counter() - t0},

@@ -175,6 +175,7 @@ def build_coconut_trie(
         with_leaf, None if materialized else series_df, path, materialized=materialized
     )
     directory = directory_from_summaries(with_leaf, w)
+    with_leaf.unpersist()
     charge_trie_build(disk, n, len(directory), capacity, materialized=materialized)
 
     return CoconutIndex(
@@ -188,7 +189,6 @@ def build_coconut_trie(
         materialized=materialized,
         n_series=n,
         directory=directory,
-        summaries=with_leaf,
         build_disk=disk,
         disk_config=cfg,
         extra={"build_wall_s": time.perf_counter() - t0},

@@ -8,23 +8,26 @@ level is a sorted file; return the best true Euclidean distance found.
 
 ``exact_search`` is Algorithm 5 (CoconutTreeSIMS): seed a best-so-far
 from the approximate answer, compute the MINDIST lower bound for every
-in-memory summarization in file order (a Spark ``mapInPandas`` scan —
-the paper's "multiple threads computing bounds in parallel"), then
-perform the skip-sequential visit: fetch the raw series only for
-records whose bound beats the *running* bsf, in file order.  The number
-of visited records (Fig 9f) and the block traffic are accounted against
-the disk model.
+in-memory summarization in file order (one vectorized
+``mindist_paa_sax`` call over the driver-resident SAX matrix — the
+paper's "multiple threads computing bounds in parallel"), then perform
+the skip-sequential visit: fetch the raw series only for records whose
+bound beats the *running* bsf, in file order.  The number of visited
+records (Fig 9f) and the block traffic are accounted against the disk
+model.
+
+Leaves and raw series are read with pyarrow, so neither search starts a
+Spark job.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 import pandas as pd
 
-from repro.core.coconut_common import CoconutIndex
+from repro.core.coconut_common import CoconutIndex, Summaries
 from repro.core.distance import euclidean
 from repro.core.mindist import mindist_paa_sax
 from repro.core.paa import paa
@@ -64,6 +67,11 @@ def _target_leaf_pos(index: CoconutIndex, zkey: str) -> int:
     return max(0, pos)
 
 
+def _check_radius(radius: int) -> None:
+    if radius < 1:
+        raise ValueError(f"radius must be >= 1 leaf, got {radius}")
+
+
 def _leaf_window(index: CoconutIndex, pos: int, radius: int) -> list[int]:
     """``radius`` directory positions centered on ``pos`` (clamped)."""
     n = index.n_leaves
@@ -95,6 +103,7 @@ def approximate_search(
     index: CoconutIndex, query: np.ndarray, *, radius: int = 1
 ) -> SearchResult:
     """Algorithm 4: best true distance within ``radius`` contiguous leaves."""
+    _check_radius(radius)
     t0 = time.perf_counter()
     disk = DiskModel(config=index.disk_config)
     _, _, qz = query_summary(index, query)
@@ -103,13 +112,15 @@ def approximate_search(
     counts = [int(index.directory.iloc[p]["count"]) for p in window]
     # Contiguous leaves: one sequential run covering the window.
     disk.seq_read(sum(index.leaf_blocks(c) for c in counts))
-    leaf_pdf = index.read_leaves(leaf_ids)
+    cols = ["id", "series"] if index.materialized else ["id", "zkey", "rank"]
+    leaf_pdf = index.read_leaves(leaf_ids, columns=cols)
     if not index.materialized:
         # Secondary index: the paper retrieves "all data series in a
         # specific radius from this point ... usually a disk page" — a
         # page of raw records around the query's sorted position per
         # radius step, not every offset in the (densely packed) leaves.
-        leaf_pdf = leaf_pdf.sort_values("zkey").reset_index(drop=True)
+        # Rank order is z-key order with ties broken by id.
+        leaf_pdf = leaf_pdf.sort_values("rank").reset_index(drop=True)
         pos = int(leaf_pdf["zkey"].searchsorted(qz))
         half = max(1, index.disk_config.block_series * radius // 2)
         lo = max(0, min(pos - half, len(leaf_pdf) - 2 * half))
@@ -127,22 +138,35 @@ def approximate_search(
     )
 
 
-def _ensure_summaries_loaded(index: CoconutIndex, disk: DiskModel) -> None:
+def _ensure_summaries_loaded(index: CoconutIndex, disk: DiskModel) -> Summaries:
     """Algorithm 5 lines 3–4: first query pays one sequential load of the
     summarizations into memory; afterwards they are resident."""
-    if not index.summaries_loaded:
+    if index.summaries is None:
         c = index.disk_config
         disk.seq_read(max(1, -(-index.n_series // c.summaries_per_block)))
-        index.summaries_loaded = True
+        index.summaries = index.load_summaries()
+    return index.summaries
+
+
+def _candidate_series(index: CoconutIndex, ids: np.ndarray, leaf_ids: np.ndarray) -> list:
+    """Raw series of the candidates ``ids``, in the same order: from
+    their leaves when materialized, else from the raw file."""
+    if index.materialized:
+        pdf = index.read_leaves(np.unique(leaf_ids).tolist(), columns=["id", "series"])
+    else:
+        pdf = index.fetch_raw(ids.tolist())
+    lookup = dict(zip(pdf["id"].tolist(), pdf["series"]))
+    return [lookup[i] for i in ids.tolist()]
 
 
 def exact_search(
     index: CoconutIndex, query: np.ndarray, *, radius: int = 1
 ) -> SearchResult:
     """Algorithm 5 (CoconutTreeSIMS): exact nearest neighbor."""
+    _check_radius(radius)
     t0 = time.perf_counter()
     disk = DiskModel(config=index.disk_config)
-    _ensure_summaries_loaded(index, disk)
+    sums = _ensure_summaries_loaded(index, disk)
 
     approx = approximate_search(index, query, radius=radius)
     disk.merge(approx.disk)
@@ -153,65 +177,25 @@ def exact_search(
     bsf_id = approx.id
 
     qp, _, _ = query_summary(index, query)
-    n, w, bits = index.length, index.w, index.bits
-    materialized = index.materialized
-    bsf0 = bsf
-
-    schema = "rank long, id long, md double"
-    if materialized:
-        schema += ", series array<double>"
-
-    def bounds(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            sax_mat = np.stack(pdf["sax"].to_numpy())
-            md = mindist_paa_sax(qp, sax_mat, n, bits)
-            keep = md < bsf0
-            if not keep.any():
-                # Skip empty outputs: an all-filtered batch would give the
-                # "series" column dtype float64, which Arrow cannot cast
-                # to list<double>.
-                continue
-            out = {
-                "rank": pdf["rank"].to_numpy()[keep],
-                "id": pdf["id"].to_numpy()[keep],
-                "md": md[keep],
-            }
-            if materialized:
-                out["series"] = list(pdf["series"].to_numpy()[keep])
-            yield pd.DataFrame(out)
-
-    cols = ["rank", "id", "sax"] + (["series"] if materialized else [])
-    cands = (
-        index.summaries.select(*cols)
-        .mapInPandas(bounds, schema=schema)
-        .toPandas()
-        .sort_values("rank")
-        .reset_index(drop=True)
-    )
-
-    # Raw series for candidates. Secondary: fetch from the raw file once,
-    # then visit in file order (SIMS's synchronized skip-sequential scan).
-    if materialized:
-        series_by_row = list(cands["series"])
-    else:
-        raw = index.fetch_raw(list(cands["id"]))
-        lookup = {int(r.id): np.asarray(r.series) for r in raw.itertuples()}
-        series_by_row = [lookup[int(i)] for i in cands["id"]]
+    md = mindist_paa_sax(qp, sums.sax, index.length, index.bits)
+    keep = np.flatnonzero(md < bsf)  # summaries are in file (rank) order
+    cand_md, cand_rank, cand_id = md[keep], sums.rank[keep], sums.id[keep]
+    # Raw series for candidates, fetched once; then visited in file order
+    # (SIMS's synchronized skip-sequential scan).
+    series_by_row = _candidate_series(index, cand_id, sums.leaf_id[keep])
 
     q = np.asarray(query, dtype=np.float64)
     visited = 0
     visited_ranks: list[int] = []
-    for i in range(len(cands)):
-        if cands["md"].iat[i] >= bsf:
+    for i in range(len(keep)):
+        if cand_md[i] >= bsf:
             continue  # pruned by the (shrinking) running bsf — skipped
         visited += 1
-        visited_ranks.append(int(cands["rank"].iat[i]))
+        visited_ranks.append(int(cand_rank[i]))
         d = float(euclidean(np.asarray(series_by_row[i], dtype=np.float64), q))
         if d < bsf:
             bsf = d
-            bsf_id = int(cands["id"].iat[i])
+            bsf_id = int(cand_id[i])
 
     # Skip-sequential disk charge: visited records grouped into blocks in
     # file order; each contiguous block run pays one seek.
@@ -237,5 +221,5 @@ def exact_search(
         approx_distance=approx.distance,
         disk=disk,
         wall_s=time.perf_counter() - t0,
-        extra={"candidates": len(cands)},
+        extra={"candidates": len(keep)},
     )

@@ -64,7 +64,9 @@ def updates_workload(
             batch_df = series_collection(
                 spark, n_series=b, length=length, kind=kind, id_offset=s
             )
+            old_path = idx.path
             idx = merge_batch(idx, batch_df, path=tempfile.mkdtemp(dir=workdir, prefix="ctree_upd_"))
+            shutil.rmtree(old_path, ignore_errors=True)  # superseded by the merge
             sim += idx.build_disk.seconds()
             for _ in range(queries_per_batch):
                 r = cquery.exact_search(idx, queries[qi % len(queries)])
@@ -73,7 +75,7 @@ def updates_workload(
         rows.append({"system": "CTree", "batch": batch, "sim_s": sim,
                      "n_batches": len(starts)})
         idx.close()
-        shutil.rmtree(path, ignore_errors=True)
+        shutil.rmtree(idx.path, ignore_errors=True)
         # --- ADS+: top-down insertion per batch --------------------------
         ids, series = collect_series(
             series_collection(spark, n_series=initial, length=length, kind=kind)

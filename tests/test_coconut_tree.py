@@ -10,9 +10,9 @@ from tests.conftest import CAPACITY, N_SERIES
 
 
 class TestStructure:
-    def test_all_series_indexed(self, ctree):
+    def test_all_series_indexed(self, spark, ctree):
         assert ctree.n_series == N_SERIES
-        assert ctree.summaries.count() == N_SERIES
+        assert spark.read.parquet(f"{ctree.path}/leaves").count() == N_SERIES
 
     def test_leaves_are_balanced_median_splits(self, ctree):
         """Every leaf except the last is exactly full — the UB-tree bulk
@@ -30,29 +30,32 @@ class TestStructure:
         for i in range(len(d) - 1):
             assert d.iloc[i]["max_zkey"] <= d.iloc[i + 1]["min_zkey"]
 
-    def test_ranks_contiguous_within_leaf(self, ctree):
-        pdf = ctree.summaries.select("leaf_id", "rank").toPandas()
+    def test_ranks_contiguous_within_leaf(self, spark, ctree):
+        pdf = spark.read.parquet(f"{ctree.path}/leaves").select("leaf_id", "rank").toPandas()
         for lid, grp in pdf.groupby("leaf_id"):
             r = sorted(grp["rank"])
             assert r == list(range(r[0], r[0] + len(r)))
 
-    def test_zkeys_match_recomputation(self, ctree, walk_mat):
-        pdf = ctree.summaries.select("id", "zkey").toPandas().sort_values("id")
+    def test_zkeys_match_recomputation(self, spark, ctree, walk_mat):
+        leaves = spark.read.parquet(f"{ctree.path}/leaves")
+        pdf = leaves.select("id", "zkey").toPandas().sort_values("id")
         expected = zkeys(walk_mat, ctree.w, ctree.bits)
         assert list(pdf["zkey"]) == expected
 
-    def test_file_order_is_key_order(self, ctree):
-        pdf = ctree.summaries.select("rank", "zkey").toPandas().sort_values("rank")
+    def test_file_order_is_key_order(self, spark, ctree):
+        leaves = spark.read.parquet(f"{ctree.path}/leaves")
+        pdf = leaves.select("rank", "zkey").toPandas().sort_values("rank")
         assert list(pdf["zkey"]) == sorted(pdf["zkey"])
 
-    def test_directory_against_oracle(self, ctree):
+    def test_directory_against_oracle(self, spark, ctree):
         """Leaf directory aggregates equal a DuckDB GROUP BY."""
-        got = ctree.summaries.groupBy("leaf_id").agg(
+        leaves = spark.read.parquet(f"{ctree.path}/leaves")
+        got = leaves.groupBy("leaf_id").agg(
             F.min("zkey").alias("min_zkey"),
             F.max("zkey").alias("max_zkey"),
             F.count("*").alias("cnt"),
         )
-        pdf = ctree.summaries.select("leaf_id", "zkey").toPandas()
+        pdf = leaves.select("leaf_id", "zkey").toPandas()
         assert_equivalent(
             got,
             "SELECT leaf_id, min(zkey) AS min_zkey, max(zkey) AS max_zkey, "
@@ -65,8 +68,8 @@ class TestStructure:
         assert d["count"].sum() == N_SERIES
         assert ctree.n_leaves == len(d)
 
-    def test_sax_bounds_cover_members(self, ctree):
-        pdf = ctree.summaries.select("leaf_id", "sax").toPandas()
+    def test_sax_bounds_cover_members(self, spark, ctree):
+        pdf = spark.read.parquet(f"{ctree.path}/leaves").select("leaf_id", "sax").toPandas()
         for _, row in ctree.directory.iterrows():
             members = np.stack(
                 pdf[pdf["leaf_id"] == row["leaf_id"]]["sax"].to_numpy()
@@ -146,6 +149,15 @@ class TestConstructionCost:
             idx.close()
             shutil.rmtree(p, ignore_errors=True)
         assert secs[1] > secs[0]
+
+
+class TestEdgeInputs:
+    def test_empty_input_raises(self, spark, tmp_path):
+        from repro.core.coconut_tree import build_coconut_tree
+
+        empty = spark.createDataFrame([], "id long, series array<double>")
+        with pytest.raises(ValueError, match="empty"):
+            build_coconut_tree(spark, empty, path=str(tmp_path / "empty"))
 
 
 class TestLeafCapacityVariants:

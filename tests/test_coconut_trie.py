@@ -85,8 +85,8 @@ class TestTrieIndex:
         assert ctrie.n_leaves > ctree.n_leaves
         assert ctrie.fill_factor < ctree.fill_factor
 
-    def test_leaf_members_share_prefix(self, ctrie):
-        pdf = ctrie.summaries.select("leaf_id", "zkey").toPandas()
+    def test_leaf_members_share_prefix(self, spark, ctrie):
+        pdf = spark.read.parquet(f"{ctrie.path}/leaves").select("leaf_id", "zkey").toPandas()
         total_bits = ctrie.w * ctrie.bits
         for lid, grp in pdf.groupby("leaf_id"):
             keys = [key_to_int(z) for z in grp["zkey"]]
@@ -99,8 +99,8 @@ class TestTrieIndex:
             common = hexlen - max((keys[0] ^ k).bit_length() for k in keys)
             assert common >= 0
 
-    def test_leaves_contiguous_ranges(self, ctrie):
-        pdf = ctrie.summaries.select("leaf_id", "rank").toPandas()
+    def test_leaves_contiguous_ranges(self, spark, ctrie):
+        pdf = spark.read.parquet(f"{ctrie.path}/leaves").select("leaf_id", "rank").toPandas()
         for lid, grp in pdf.groupby("leaf_id"):
             r = sorted(grp["rank"])
             assert r == list(range(r[0], r[0] + len(r)))
@@ -126,13 +126,22 @@ class TestTrieIndex:
         """Compaction makes CTrie construction slower than CTree (§5.1)."""
         assert ctrie.build_disk.seconds() > ctree.build_disk.seconds()
 
-    def test_trie_leaves_map_to_isax_nodes(self, ctrie):
+    def test_trie_leaves_map_to_isax_nodes(self, spark, ctrie):
         """Each leaf's (depth,prefix) is an iSAX node: members agree on
         prefix_key at every whole-symbol-resolution up to the leaf depth."""
-        pdf = ctrie.summaries.select("leaf_id", "zkey").toPandas()
+        pdf = spark.read.parquet(f"{ctrie.path}/leaves").select("leaf_id", "zkey").toPandas()
         w, bits = ctrie.w, ctrie.bits
         for lid, grp in pdf.groupby("leaf_id"):
             zk = list(grp["zkey"])
             if len(zk) < 2:
                 continue
             assert prefix_key(zk[0], w, bits, 1) == prefix_key(zk[-1], w, bits, 1)
+
+
+class TestEdgeInputs:
+    def test_empty_input_raises(self, spark, tmp_path):
+        from repro.core.coconut_trie import build_coconut_trie
+
+        empty = spark.createDataFrame([], "id long, series array<double>")
+        with pytest.raises(ValueError, match="empty"):
+            build_coconut_trie(spark, empty, path=str(tmp_path / "empty"))

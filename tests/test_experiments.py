@@ -120,6 +120,14 @@ class TestFig10:
         ctree = {r["batch"]: r["sim_s"] for r in rows if r["system"] == "CTree"}
         assert ctree[150] < ctree[30]
 
+    def test_updates_leave_no_index_files(self, spark, tmp_path):
+        """Every index a merge supersedes is deleted, and the last one too."""
+        updates_workload(
+            spark, total_series=200, initial_frac=0.5, batch_sizes=(50,),
+            length=64, leaf_capacity=50, workdir=str(tmp_path),
+        )
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("kind", ["seismic", "astro"])
     def test_complete_workload(self, spark, workdir, kind):
         rows = complete_workload(

@@ -141,6 +141,46 @@ class TestExactSearch:
         idx.close()
 
 
+class TestNoSparkJobs:
+    JOB_GROUP = "spark.jobGroup.id"
+
+    def _jobs_under_group(self, spark, group: str, fn) -> list[int]:
+        sc = spark.sparkContext
+        sc.setLocalProperty(self.JOB_GROUP, group)
+        try:
+            fn()
+        finally:
+            sc.setLocalProperty(self.JOB_GROUP, None)
+        # Job-start events reach the status tracker through the
+        # asynchronous listener bus.
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        return list(sc.statusTracker().getJobIdsForGroup(group))
+
+    def test_group_counts_spark_jobs(self, spark):
+        """Control: a Spark action under a job group is seen."""
+        assert self._jobs_under_group(spark, "no-jobs-control", spark.range(3).count)
+
+    @pytest.mark.parametrize("fixture", ["ctree", "ctree_full", "ctrie", "ctrie_full"])
+    def test_search_starts_no_spark_job(self, fixture, request, spark, queries):
+        idx = request.getfixturevalue(fixture)
+        idx.close()  # the next exact search loads the summaries again
+
+        def search():
+            for q in queries[:2]:
+                approximate_search(idx, q)
+                exact_search(idx, q)
+
+        assert self._jobs_under_group(spark, f"no-jobs-{fixture}", search) == []
+
+
+class TestRadius:
+    @pytest.mark.parametrize("search", [approximate_search, exact_search])
+    @pytest.mark.parametrize("radius", [0, -1])
+    def test_radius_below_one_raises(self, ctree, queries, search, radius):
+        with pytest.raises(ValueError, match="radius"):
+            search(ctree, queries[0], radius=radius)
+
+
 class TestQuerySummary:
     def test_zkey_consistent_with_dataset(self, ctree, walk_mat):
         from repro.core.zorder import zkeys

@@ -1,0 +1,60 @@
+"""Golden counters for the Coconut query path.
+
+Answers, visited-record counts, candidate counts and every ``DiskModel``
+counter of Algorithms 4 and 5 are pinned bit for bit on the session
+dataset and its 5 queries, for tree and trie indexes, secondary and
+materialized.  Each index is built fresh, so the first exact query pays
+the one-time summaries load (Algorithm 5 lines 3-4).  A change to how
+the query path reads leaves, raw series or summaries must leave every
+figure here unchanged; only a deliberate cost-model change may update
+``golden_query_counters.json`` (regenerate with ``collect``).
+"""
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+from repro.core.coconut_tree import build_coconut_tree
+from repro.core.coconut_trie import build_coconut_trie
+from repro.core.query import approximate_search, exact_search
+from tests.conftest import BITS, CAPACITY, W
+
+GOLDEN = Path(__file__).with_name("golden_query_counters.json")
+BUILDERS = {"tree": build_coconut_tree, "trie": build_coconut_trie}
+CASES = [f"{v}-{m}" for v in BUILDERS for m in ("secondary", "materialized")]
+
+
+def collect(spark, walk_df, disk_cfg, queries, path: str, case: str) -> list[dict]:
+    """Approximate then exact search of every query on a fresh index."""
+    variant, mode = case.split("-")
+    idx = BUILDERS[variant](
+        spark, walk_df, path=path, w=W, bits=BITS, leaf_capacity=CAPACITY,
+        materialized=mode == "materialized", disk_config=disk_cfg,
+    )
+    out = []
+    try:
+        for q in queries:
+            a = approximate_search(idx, q)
+            e = exact_search(idx, q)
+            out.append({
+                "approx": {"id": a.id, "distance": a.distance,
+                           "visited_records": a.visited_records,
+                           "disk": a.disk.snapshot()},
+                "exact": {"id": e.id, "distance": e.distance,
+                          "visited_records": e.visited_records,
+                          "candidates": e.extra["candidates"],
+                          "disk": e.disk.snapshot()},
+            })
+    finally:
+        idx.close()
+        shutil.rmtree(path, ignore_errors=True)
+    return out
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_query_counters_unchanged(case, spark, walk_df, disk_cfg, queries, tmp_path):
+    expected = json.loads(GOLDEN.read_text())[case]
+    got = collect(spark, walk_df, disk_cfg, queries, str(tmp_path / case), case)
+    # JSON round-trips floats exactly, so == is a bit-for-bit comparison.
+    assert json.loads(json.dumps(got)) == expected

@@ -28,8 +28,9 @@ class TestMergeBatch:
     def test_count_grows(self, merged_index):
         assert merged_index.n_series == 210
 
-    def test_still_sorted(self, merged_index):
-        pdf = merged_index.summaries.select("rank", "zkey").toPandas().sort_values("rank")
+    def test_still_sorted(self, spark, merged_index):
+        leaves = spark.read.parquet(f"{merged_index.path}/leaves")
+        pdf = leaves.select("rank", "zkey").toPandas().sort_values("rank")
         assert list(pdf["zkey"]) == sorted(pdf["zkey"])
 
     def test_still_balanced(self, merged_index):
