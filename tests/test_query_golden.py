@@ -1,13 +1,16 @@
-"""Golden counters for the Coconut query path.
+"""Golden counters for the Coconut and ADS query paths.
 
 Answers, visited-record counts, candidate counts and every ``DiskModel``
 counter of Algorithms 4 and 5 are pinned bit for bit on the session
 dataset and its 5 queries, for tree and trie indexes, secondary and
 materialized.  Each index is built fresh, so the first exact query pays
-the one-time summaries load (Algorithm 5 lines 3-4).  A change to how
-the query path reads leaves, raw series or summaries must leave every
-figure here unchanged; only a deliberate cost-model change may update
-``golden_query_counters.json`` (regenerate with ``collect``).
+the one-time summaries load (Algorithm 5 lines 3-4).  The ADS+ and
+ADSFull exact searches (SIMS seeded by the approximate answer) are
+pinned the same way.  A change to how the query path reads leaves, raw
+series or summaries, or to how the SIMS scan charges its blocks, must
+leave every figure here unchanged; only a deliberate cost-model change
+may update ``golden_query_counters.json`` (regenerate with ``collect``
+and ``collect_ads``).
 """
 import json
 import shutil
@@ -23,6 +26,7 @@ from tests.conftest import BITS, CAPACITY, W
 GOLDEN = Path(__file__).with_name("golden_query_counters.json")
 BUILDERS = {"tree": build_coconut_tree, "trie": build_coconut_trie}
 CASES = [f"{v}-{m}" for v in BUILDERS for m in ("secondary", "materialized")]
+ADS_CASES = ["ads_plus", "ads_full"]
 
 
 def collect(spark, walk_df, disk_cfg, queries, path: str, case: str) -> list[dict]:
@@ -57,4 +61,22 @@ def test_query_counters_unchanged(case, spark, walk_df, disk_cfg, queries, tmp_p
     expected = json.loads(GOLDEN.read_text())[case]
     got = collect(spark, walk_df, disk_cfg, queries, str(tmp_path / case), case)
     # JSON round-trips floats exactly, so == is a bit-for-bit comparison.
+    assert json.loads(json.dumps(got)) == expected
+
+
+def collect_ads(index, queries) -> list[dict]:
+    """Exact search of every query on an ADS index."""
+    out = []
+    for q in queries:
+        e = index.exact(q)
+        out.append({"id": e.id, "distance": e.distance,
+                    "visited_records": e.visited_records,
+                    "disk": e.disk.snapshot()})
+    return out
+
+
+@pytest.mark.parametrize("case", ADS_CASES)
+def test_ads_exact_counters_unchanged(case, request, queries):
+    expected = json.loads(GOLDEN.read_text())[case]
+    got = collect_ads(request.getfixturevalue(case), queries)
     assert json.loads(json.dumps(got)) == expected
