@@ -7,7 +7,8 @@ the Spark DataFrames (the datasets at our scale fit the driver easily)
 and charge all their block traffic to the same
 :class:`repro.storage.disk_model.DiskModel` as the Coconut indexes, so
 construction/query comparisons are made in the same cost model the
-paper's own analysis uses (§3).
+paper's own analysis uses (§3).  ADS's exact search uses the Coconut
+SIMS scan itself, :func:`repro.core.query.sims_scan`.
 """
 from __future__ import annotations
 
@@ -15,59 +16,12 @@ import numpy as np
 from pyspark.sql import DataFrame
 
 from repro.core.distance import euclidean
-from repro.core.query import SearchResult
-from repro.storage.disk_model import DiskConfig, DiskModel
 
 
 def collect_series(series_df: DataFrame) -> tuple[np.ndarray, np.ndarray]:
     """Collect (ids, series matrix) ordered by id — the 'raw file' order."""
     pdf = series_df.select("id", "series").toPandas().sort_values("id")
     return pdf["id"].to_numpy(), np.stack(pdf["series"].to_numpy())
-
-
-def sims_scan(
-    *,
-    query: np.ndarray,
-    mindists: np.ndarray,
-    series: np.ndarray,
-    ids: np.ndarray,
-    bsf: float,
-    bsf_id: int,
-    disk: DiskModel,
-    config: DiskConfig,
-) -> tuple[int, float, int]:
-    """Skip-sequential scan (SIMS [62] / Algorithm 5 lines 12–22).
-
-    Walks positions in file order; for each record whose lower bound
-    beats the *running* bsf, "reads" the raw series (counted as visited)
-    and refines the bsf.  Disk charge: visited blocks in file order, one
-    sequential run per contiguous stretch.  Returns (answer id, answer
-    distance, visited record count).
-    """
-    visited = 0
-    visited_blocks: list[int] = []
-    per_block = config.block_series
-    for i in range(len(mindists)):
-        if mindists[i] >= bsf:
-            continue
-        visited += 1
-        visited_blocks.append(i // per_block)
-        d = float(euclidean(series[i], query))
-        if d < bsf:
-            bsf = d
-            bsf_id = int(ids[i])
-    blocks = sorted(set(visited_blocks))
-    run = 0
-    for j, b in enumerate(blocks):
-        if j > 0 and b == blocks[j - 1] + 1:
-            run += 1
-        else:
-            if run:
-                disk.seq_read(run)
-            run = 1
-    if run:
-        disk.seq_read(run)
-    return bsf_id, bsf, visited
 
 
 def leaf_true_distances(
@@ -79,11 +33,4 @@ def leaf_true_distances(
     return int(ids[rows[k]]), float(d[k])
 
 
-__all__ = [
-    "DiskConfig",
-    "DiskModel",
-    "SearchResult",
-    "collect_series",
-    "sims_scan",
-    "leaf_true_distances",
-]
+__all__ = ["collect_series", "leaf_true_distances"]

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.baselines.common import collect_series, leaf_true_distances
+from repro.baselines.common import leaf_true_distances
 from repro.core.paa import paa
 from repro.core.query import SearchResult
 from repro.storage.disk_model import DiskConfig, DiskModel, LRUPageBuffer
@@ -198,8 +198,3 @@ class DSTreeIndex:
             visited_records=visited, approx_distance=approx.distance,
             disk=disk, wall_s=time.perf_counter() - t0,
         )
-
-
-def build_dstree_from_df(spark_df, **kwargs) -> DSTreeIndex:
-    ids, series = collect_series(spark_df)
-    return DSTreeIndex(ids, series, **kwargs)

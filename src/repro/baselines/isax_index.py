@@ -17,9 +17,10 @@ This is the state of the art the paper compares against (§2, §3):
 
 Queries: approximate search descends to the query's leaf (random I/O
 per level-crossing miss, random leaf read); exact search is SIMS [62]
-seeded by the approximate answer, identical scan machinery as
-Coconut's — only the bsf quality and leaf contiguity differ, which is
-precisely the paper's point (Fig 9d–f).
+seeded by the approximate answer, walking the raw file in position
+order with the same scan as Coconut's (:func:`repro.core.query.sims_scan`)
+— only the bsf quality and leaf contiguity differ, which is precisely
+the paper's point (Fig 9d–f).
 """
 from __future__ import annotations
 
@@ -29,15 +30,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.baselines.common import (
-    collect_series,
-    leaf_true_distances,
-    sims_scan,
-)
+from repro.baselines.common import leaf_true_distances
 from repro.core.mindist import mindist_paa_sax
 from repro.core.paa import paa
-from repro.core.query import SearchResult
-from repro.core.sax import breakpoints, symbols_from_paa
+from repro.core.query import SearchResult, sims_scan
+from repro.core.sax import breakpoints, sax, symbols_from_paa
 from repro.storage.disk_model import DiskConfig, DiskModel, LRUPageBuffer
 
 
@@ -137,8 +134,7 @@ class ISaxIndex:
         disk.seq_read(max(1, -(-self.n // c.block_series)))  # summarization pass
         disk.cpu_summarize(self.n)
         disk.cpu_insert(self.n)
-        self.paa = paa(self.series, self.w)
-        self.sax = symbols_from_paa(self.paa, self.bits)
+        self.sax = sax(self.series, self.w, self.bits)
         self._buffer = LRUPageBuffer(disk, c.memory_series, self._leaf_page_series())
         self.root: dict[tuple[int, ...], object] = {}
         for i in range(self.n):
@@ -299,9 +295,8 @@ class ISaxIndex:
         disk.charge_cpu(self.n * self.disk_config.cpu_sort_item_s)
         md = mindist_paa_sax(qp, self.sax, self.length, self.bits)
         bid, bdist, visited = sims_scan(
-            query=query, mindists=md, series=self.series, ids=self.ids,
-            bsf=approx.distance, bsf_id=approx.id, disk=disk,
-            config=self.disk_config,
+            query, md, self.series, self.ids, np.arange(self.n),
+            approx.distance, approx.id, disk, self.disk_config.block_series,
         )
         return SearchResult(
             id=bid, distance=bdist, leaves_visited=1, visited_records=visited,
@@ -315,10 +310,7 @@ class ISaxIndex:
         start = self.n
         self.ids = np.concatenate([self.ids, ids])
         self.series = np.vstack([self.series, series])
-        p = paa(series, self.w)
-        s = symbols_from_paa(p, self.bits)
-        self.paa = np.vstack([self.paa, p])
-        self.sax = np.vstack([self.sax, s])
+        self.sax = np.vstack([self.sax, sax(series, self.w, self.bits)])
         self.n = len(self.ids)
         self.build_disk.seq_read(
             max(1, -(-len(ids) // self.disk_config.block_series))
@@ -327,9 +319,3 @@ class ISaxIndex:
         self.build_disk.cpu_insert(len(ids))
         for i in range(start, self.n):
             self._insert(i)
-
-
-def build_isax_from_df(spark_df, **kwargs) -> ISaxIndex:
-    """Convenience: collect a Spark (id, series) DataFrame and build."""
-    ids, series = collect_series(spark_df)
-    return ISaxIndex(ids, series, **kwargs)

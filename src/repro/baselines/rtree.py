@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from repro.baselines.common import collect_series, leaf_true_distances
+from repro.baselines.common import leaf_true_distances
 from repro.core.paa import paa
 from repro.core.query import SearchResult
 from repro.storage.disk_model import DiskConfig, DiskModel, external_sort_cost
@@ -179,8 +179,3 @@ class RTreeIndex:
             visited_records=visited, approx_distance=approx.distance,
             disk=disk, wall_s=time.perf_counter() - t0,
         )
-
-
-def build_rtree_from_df(spark_df, **kwargs) -> RTreeIndex:
-    ids, series = collect_series(spark_df)
-    return RTreeIndex(ids, series, **kwargs)

@@ -16,7 +16,6 @@ import time
 
 import numpy as np
 
-from repro.baselines.common import collect_series
 from repro.core.distance import euclidean
 from repro.core.query import SearchResult
 from repro.storage.disk_model import DiskConfig, DiskModel
@@ -154,8 +153,3 @@ class VerticalIndex:
             approx_distance=float("nan"), disk=disk,
             wall_s=time.perf_counter() - t0,
         )
-
-
-def build_vertical_from_df(spark_df, **kwargs) -> VerticalIndex:
-    ids, series = collect_series(spark_df)
-    return VerticalIndex(ids, series, **kwargs)

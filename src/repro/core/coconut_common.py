@@ -5,11 +5,15 @@ comparison (paper §4.2 vs §4.3) clean:
 
 - ``<path>/leaves``  — Parquet, partitioned by ``leaf_id``, rows sorted
   by z-key: the contiguous leaf level ("columnar index structure").
+  Each record is the paper's leaf entry: the invSAX key ``zkey`` (with
+  its SAX word ``sax``) and the series ``id`` in place of a file offset,
+  plus its ``rank`` in file order.  Materialized leaves also hold the
+  series.
 - ``<path>/raw``     — Parquet (id, series): stands in for the paper's
   raw series file; only written for non-materialized (secondary)
   indexes, whose leaves hold ids ("offsets") instead of series.
-- a driver-side *leaf directory* (min/max z-key, count, per-segment
-  symbol bounds): the in-memory internal levels of the tree/trie.
+- a driver-side *leaf directory* (min/max z-key, count, first rank):
+  the in-memory internal levels of the tree/trie.
 - driver-resident :class:`Summaries` (SAX words, ids, ranks, leaf ids
   as numpy arrays in file order): the paper's "in-memory
   summarizations" used by the SIMS exact search, loaded from
@@ -35,7 +39,7 @@ from pyspark.sql import functions as F
 
 from repro.storage.disk_model import DiskConfig, DiskModel
 
-SUMMARY_COLS = ["id", "zkey", "sax", "paa", "rank", "leaf_id"]
+SUMMARY_COLS = ["id", "zkey", "sax", "rank", "leaf_id"]
 
 
 def _part_files(directory: str) -> list[str]:
@@ -80,7 +84,7 @@ class CoconutIndex:
     leaf_capacity: int
     materialized: bool
     n_series: int
-    directory: pd.DataFrame      # leaf_id,min_zkey,max_zkey,count (+sax bounds)
+    directory: pd.DataFrame      # leaf_id,min_zkey,max_zkey,count,min_rank
     build_disk: DiskModel        # construction I/O accounting
     disk_config: DiskConfig
     summaries: Summaries | None = None  # resident once loaded (Algorithm 5 l.3-4)
@@ -180,28 +184,20 @@ class CoconutIndex:
         self.summaries = None
 
 
-def directory_from_summaries(summaries: DataFrame, w: int) -> pd.DataFrame:
-    """Aggregate the leaf directory: per-leaf z-key range, count, and
-    per-segment symbol bounds (the internal-node SAX masks)."""
-    aggs = [
-        F.min("zkey").alias("min_zkey"),
-        F.max("zkey").alias("max_zkey"),
-        F.count("*").alias("count"),
-        F.min("rank").alias("min_rank"),
-    ]
-    for j in range(w):
-        aggs.append(F.min(F.col("sax")[j]).alias(f"sax_lo_{j}"))
-        aggs.append(F.max(F.col("sax")[j]).alias(f"sax_hi_{j}"))
-    pdf = summaries.groupBy("leaf_id").agg(*aggs).toPandas()
-    pdf = pdf.sort_values("min_zkey").reset_index(drop=True)
-    return pdf
-
-
-def directory_sax_bounds(directory: pd.DataFrame, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n_leaves, w) lower/upper symbol bound matrices for node pruning."""
-    lo = directory[[f"sax_lo_{j}" for j in range(w)]].to_numpy()
-    hi = directory[[f"sax_hi_{j}" for j in range(w)]].to_numpy()
-    return lo, hi
+def directory_from_summaries(summaries: DataFrame) -> pd.DataFrame:
+    """Aggregate the leaf directory: per-leaf z-key range, count and
+    first rank, in key order."""
+    pdf = (
+        summaries.groupBy("leaf_id")
+        .agg(
+            F.min("zkey").alias("min_zkey"),
+            F.max("zkey").alias("max_zkey"),
+            F.count("*").alias("count"),
+            F.min("rank").alias("min_rank"),
+        )
+        .toPandas()
+    )
+    return pdf.sort_values("min_zkey").reset_index(drop=True)
 
 
 def write_index_files(

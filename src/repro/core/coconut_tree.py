@@ -33,17 +33,20 @@ from repro.core.coconut_common import (
     directory_from_summaries,
     write_index_files,
 )
-from repro.core.paa import paa
-from repro.core.sax import symbols_from_paa
+from repro.core.sax import sax
 from repro.core.sort_rank import global_sort_with_rank
 from repro.core.zorder import interleave
 from repro.storage.disk_model import DiskConfig, DiskModel, external_sort_cost
 
 
 def summarize_series(series_df: DataFrame, w: int, bits: int, *, keep_series: bool) -> DataFrame:
-    """(id, series) -> (id, zkey, sax, paa[, series]): Algorithm 3 lines 2–8."""
+    """(id, series) -> (id, zkey, sax[, series]): Algorithm 3 lines 2–8.
 
-    schema = "id long, zkey string, sax array<int>, paa array<double>"
+    The one summarization pass of both Coconut variants: a single scan of
+    the raw data computing each series' SAX word and its invSAX key.
+    """
+
+    schema = "id long, zkey string, sax array<int>"
     if keep_series:
         schema += ", series array<double>"
 
@@ -51,14 +54,11 @@ def summarize_series(series_df: DataFrame, w: int, bits: int, *, keep_series: bo
         for pdf in batches:
             if len(pdf) == 0:
                 continue
-            mat = np.stack(pdf["series"].to_numpy())
-            p = paa(mat, w)
-            s = symbols_from_paa(p, bits)
+            s = sax(np.stack(pdf["series"].to_numpy()), w, bits)
             out = {
                 "id": pdf["id"].to_numpy(),
                 "zkey": interleave(s, bits),
                 "sax": list(s.astype(np.int32)),
-                "paa": list(p),
             }
             if keep_series:
                 out["series"] = list(pdf["series"])
@@ -67,12 +67,16 @@ def summarize_series(series_df: DataFrame, w: int, bits: int, *, keep_series: bo
     return series_df.select("id", "series").mapInPandas(compute, schema=schema)
 
 
-def _series_length(series_df: DataFrame) -> int:
-    """Length of the first series; an index over no series is an error."""
+def _series_length(series_df: DataFrame, w: int) -> int:
+    """Length of the first series.  An index over no series, or one whose
+    ``w`` segments do not divide the length, is an error on the driver."""
     first = series_df.select(F.size("series").alias("n")).first()
     if first is None:
         raise ValueError("cannot build an index over an empty series DataFrame")
-    return int(first["n"])
+    n = int(first["n"])
+    if n % w:
+        raise ValueError(f"segment count w={w} must divide series length n={n}")
+    return n
 
 
 def charge_tree_build(
@@ -116,7 +120,7 @@ def build_coconut_tree(
     cfg = disk_config or DiskConfig()
     disk = DiskModel(config=cfg)
     t0 = time.perf_counter()
-    length = _series_length(series_df)
+    length = _series_length(series_df, w)
 
     summaries = summarize_series(series_df, w, bits, keep_series=materialized)
     ranked = global_sort_with_rank(summaries, "zkey")
@@ -129,7 +133,7 @@ def build_coconut_tree(
     write_index_files(
         with_leaf, None if materialized else series_df, path, materialized=materialized
     )
-    directory = directory_from_summaries(with_leaf, w)
+    directory = directory_from_summaries(with_leaf)
     with_leaf.unpersist()
     charge_tree_build(disk, n, materialized=materialized)
 

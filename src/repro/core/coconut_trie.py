@@ -128,7 +128,7 @@ def build_coconut_trie(
     cfg = disk_config or DiskConfig()
     disk = DiskModel(config=cfg)
     t0 = time.perf_counter()
-    length = _series_length(series_df)
+    length = _series_length(series_df, w)
     capacity = leaf_capacity
     start_depth = w  # first trie level: 1 bit from each of the w segments
 
@@ -174,7 +174,7 @@ def build_coconut_trie(
     write_index_files(
         with_leaf, None if materialized else series_df, path, materialized=materialized
     )
-    directory = directory_from_summaries(with_leaf, w)
+    directory = directory_from_summaries(with_leaf)
     with_leaf.unpersist()
     charge_trie_build(disk, n, len(directory), capacity, materialized=materialized)
 

@@ -6,11 +6,7 @@ the paper) and the coordinate space of the R-tree baseline.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame
 
 
 def paa(x: np.ndarray, w: int) -> np.ndarray:
@@ -24,20 +20,3 @@ def paa(x: np.ndarray, w: int) -> np.ndarray:
     if n % w != 0:
         raise ValueError(f"segment count w={w} must divide series length n={n}")
     return x.reshape(*x.shape[:-1], w, n // w).mean(axis=-1)
-
-
-def paa_df(series_df: DataFrame, w: int) -> DataFrame:
-    """Spark path: (id, series) -> (id, paa array<double>)."""
-
-    def compute(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            mat = np.stack(pdf["series"].to_numpy())
-            yield pd.DataFrame(
-                {"id": pdf["id"].to_numpy(), "paa": list(paa(mat, w))}
-            )
-
-    return series_df.select("id", "series").mapInPandas(
-        compute, schema="id long, paa array<double>"
-    )

@@ -11,10 +11,10 @@ from the approximate answer, compute the MINDIST lower bound for every
 in-memory summarization in file order (one vectorized
 ``mindist_paa_sax`` call over the driver-resident SAX matrix — the
 paper's "multiple threads computing bounds in parallel"), then perform
-the skip-sequential visit: fetch the raw series only for records whose
-bound beats the *running* bsf, in file order.  The number of visited
-records (Fig 9f) and the block traffic are accounted against the disk
-model.
+the skip-sequential visit (:func:`sims_scan`, shared with the ADS
+baseline): fetch the raw series only for records whose bound beats the
+*running* bsf, in file order.  The number of visited records (Fig 9f)
+and the block traffic are accounted against the disk model.
 
 Leaves and raw series are read with pyarrow, so neither search starts a
 Spark job.
@@ -159,6 +159,40 @@ def _candidate_series(index: CoconutIndex, ids: np.ndarray, leaf_ids: np.ndarray
     return [lookup[i] for i in ids.tolist()]
 
 
+def sims_scan(
+    query: np.ndarray,
+    mindists: np.ndarray,
+    series: np.ndarray | list[np.ndarray],
+    ids: np.ndarray,
+    positions: np.ndarray,
+    bsf: float,
+    bsf_id: int,
+    disk: DiskModel,
+    per_block: int,
+) -> tuple[int, float, int]:
+    """Skip-sequential scan (SIMS [62] / Algorithm 5 lines 12–22).
+
+    Walks the candidates in file order; each one whose lower bound beats
+    the *running* bsf is visited: its raw series is read and refines the
+    bsf.  Disk charge: the visited blocks ``positions // per_block``, one
+    sequential run per contiguous stretch.  Returns (answer id, answer
+    distance, visited record count).
+    """
+    visited = []
+    for i in range(len(mindists)):
+        if mindists[i] >= bsf:
+            continue  # pruned by the (shrinking) running bsf — skipped
+        visited.append(i)
+        d = float(euclidean(series[i], query))
+        if d < bsf:
+            bsf = d
+            bsf_id = int(ids[i])
+    blocks = np.unique(positions[visited] // per_block)
+    for run in np.split(blocks, np.flatnonzero(np.diff(blocks) != 1) + 1):
+        disk.seq_read(len(run))
+    return bsf_id, bsf, len(visited)
+
+
 def exact_search(
     index: CoconutIndex, query: np.ndarray, *, radius: int = 1
 ) -> SearchResult:
@@ -173,45 +207,18 @@ def exact_search(
     # In-memory lower-bound computation over all N summaries (parallel
     # threads in the paper): CPU-only, one compare-scale op per summary.
     disk.charge_cpu(index.n_series * index.disk_config.cpu_sort_item_s)
-    bsf = approx.distance
-    bsf_id = approx.id
 
     qp, _, _ = query_summary(index, query)
     md = mindist_paa_sax(qp, sums.sax, index.length, index.bits)
-    keep = np.flatnonzero(md < bsf)  # summaries are in file (rank) order
-    cand_md, cand_rank, cand_id = md[keep], sums.rank[keep], sums.id[keep]
+    keep = np.flatnonzero(md < approx.distance)  # summaries are in file (rank) order
+    cand_id = sums.id[keep]
     # Raw series for candidates, fetched once; then visited in file order
-    # (SIMS's synchronized skip-sequential scan).
-    series_by_row = _candidate_series(index, cand_id, sums.leaf_id[keep])
-
-    q = np.asarray(query, dtype=np.float64)
-    visited = 0
-    visited_ranks: list[int] = []
-    for i in range(len(keep)):
-        if cand_md[i] >= bsf:
-            continue  # pruned by the (shrinking) running bsf — skipped
-        visited += 1
-        visited_ranks.append(int(cand_rank[i]))
-        d = float(euclidean(np.asarray(series_by_row[i], dtype=np.float64), q))
-        if d < bsf:
-            bsf = d
-            bsf_id = int(cand_id[i])
-
-    # Skip-sequential disk charge: visited records grouped into blocks in
-    # file order; each contiguous block run pays one seek.
-    c = index.disk_config
-    per_block = c.block_series  # raw records are what get visited
-    blocks = sorted({r // per_block for r in visited_ranks})
-    run_len = 0
-    for j, b in enumerate(blocks):
-        if j > 0 and b == blocks[j - 1] + 1:
-            run_len += 1
-        else:
-            if run_len:
-                disk.seq_read(run_len)
-            run_len = 1
-    if run_len:
-        disk.seq_read(run_len)
+    # (SIMS's synchronized skip-sequential scan) over raw-record blocks.
+    bsf_id, bsf, visited = sims_scan(
+        query, md[keep], _candidate_series(index, cand_id, sums.leaf_id[keep]),
+        cand_id, sums.rank[keep], approx.distance, approx.id, disk,
+        index.disk_config.block_series,
+    )
 
     return SearchResult(
         id=bsf_id,

@@ -13,11 +13,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from statistics import NormalDist
-from typing import Iterator
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame
 
 from repro.core.paa import paa
 
@@ -75,22 +72,3 @@ def reduce_word(symbols: np.ndarray, bits: int, to_bits: int) -> np.ndarray:
     if not 0 <= to_bits <= bits:
         raise ValueError(f"to_bits={to_bits} must be in [0, bits={bits}]")
     return (np.asarray(symbols, dtype=np.uint32) >> (bits - to_bits)).astype(np.uint32)
-
-
-def sax_df(series_df: DataFrame, w: int, bits: int) -> DataFrame:
-    """Spark path: (id, series) -> (id, paa array<double>, sax array<int>)."""
-
-    def compute(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            mat = np.stack(pdf["series"].to_numpy())
-            p = paa(mat, w)
-            s = symbols_from_paa(p, bits).astype(np.int32)
-            yield pd.DataFrame(
-                {"id": pdf["id"].to_numpy(), "paa": list(p), "sax": list(s)}
-            )
-
-    return series_df.select("id", "series").mapInPandas(
-        compute, schema="id long, paa array<double>, sax array<int>"
-    )

@@ -21,14 +21,9 @@ from pyspark.sql import functions as F
 
 
 def global_sort_with_rank(
-    df: DataFrame,
-    key: str,
-    *,
-    tiebreak: str = "id",
-    num_partitions: int | None = None,
-    rank_col: str = "rank",
+    df: DataFrame, key: str, *, num_partitions: int | None = None
 ) -> DataFrame:
-    """Sort ``df`` globally by (``key``, ``tiebreak``) and add a dense rank.
+    """Sort ``df`` globally by (``key``, ``id``) and add a dense ``rank``.
 
     Returns a *persisted* DataFrame (already materialized, so the sampled
     range boundaries and partition-local ranks are frozen); the caller
@@ -36,8 +31,8 @@ def global_sort_with_rank(
     """
     num_partitions = num_partitions or max(2, df.sparkSession.sparkContext.defaultParallelism)
     ordered = (
-        df.repartitionByRange(num_partitions, F.col(key), F.col(tiebreak))
-        .sortWithinPartitions(key, tiebreak)
+        df.repartitionByRange(num_partitions, F.col(key), F.col("id"))
+        .sortWithinPartitions(key, "id")
         .persist()
     )
     counts = {
@@ -57,14 +52,14 @@ def global_sort_with_rank(
     # corrupt ``ordered``'s own column list.
     from pyspark.sql.types import LongType, StructField, StructType
 
-    out_schema = StructType(ordered.schema.fields + [StructField(rank_col, LongType())])
+    out_schema = StructType(ordered.schema.fields + [StructField("rank", LongType())])
 
     def add_rank(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         pid = TaskContext.get().partitionId()
         base = offsets[pid]
         for pdf in batches:
             pdf = pdf.copy()
-            pdf[rank_col] = range(base, base + len(pdf))
+            pdf["rank"] = range(base, base + len(pdf))
             base += len(pdf)
             yield pdf
 

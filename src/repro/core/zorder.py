@@ -12,15 +12,13 @@ nodes.
 Keys are emitted as fixed-width lowercase hex strings (zero-padded at
 the *tail*, i.e. the least significant end), so lexicographic string
 order equals numeric order on the interleaved bits — Spark sorts them
-natively, no UDF comparator needed.
+natively, no UDF comparator needed.  This module is numpy only; the
+Spark summarization pass that emits the keys is
+:func:`repro.core.coconut_tree.summarize_series`.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame
 
 from repro.core.sax import sax
 
@@ -79,34 +77,3 @@ def prefix_key(zkey_hex: str, w: int, bits: int, k: int) -> int:
         raise ValueError(f"k={k} must be in [0, bits={bits}]")
     total_padded = 4 * len(zkey_hex)
     return key_to_int(zkey_hex) >> (total_padded - k * w)
-
-
-def zkeys_df(series_df: DataFrame, w: int, bits: int) -> DataFrame:
-    """Spark path: (id, series[, ...]) -> summaries with sortable key.
-
-    Output schema: id, zkey (hex string), sax (array<int>), paa
-    (array<double>).  This is the summarization pass of Algorithms 2/3
-    (lines 2–8): one scan of the raw data computing invSAX per series.
-    """
-    from repro.core.paa import paa as _paa
-    from repro.core.sax import symbols_from_paa
-
-    def compute(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            mat = np.stack(pdf["series"].to_numpy())
-            p = _paa(mat, w)
-            s = symbols_from_paa(p, bits)
-            yield pd.DataFrame(
-                {
-                    "id": pdf["id"].to_numpy(),
-                    "zkey": interleave(s, bits),
-                    "sax": list(s.astype(np.int32)),
-                    "paa": list(p),
-                }
-            )
-
-    return series_df.select("id", "series").mapInPandas(
-        compute, schema="id long, zkey string, sax array<int>, paa array<double>"
-    )

@@ -68,22 +68,21 @@ class TestStructure:
         assert d["count"].sum() == N_SERIES
         assert ctree.n_leaves == len(d)
 
-    def test_sax_bounds_cover_members(self, spark, ctree):
-        pdf = spark.read.parquet(f"{ctree.path}/leaves").select("leaf_id", "sax").toPandas()
-        for _, row in ctree.directory.iterrows():
-            members = np.stack(
-                pdf[pdf["leaf_id"] == row["leaf_id"]]["sax"].to_numpy()
-            )
-            for j in range(ctree.w):
-                assert members[:, j].min() == row[f"sax_lo_{j}"]
-                assert members[:, j].max() == row[f"sax_hi_{j}"]
-
 
 class TestPersistedLayout:
     def test_leaves_parquet_partitioned(self, ctree, spark):
         df = spark.read.parquet(f"{ctree.path}/leaves")
         assert df.count() == N_SERIES
         assert "leaf_id" in df.columns
+
+    def test_leaf_record_and_directory_columns(self, ctree, spark):
+        """A leaf record is (id, zkey, sax, rank); the directory holds each
+        leaf's key range, count and first rank."""
+        df = spark.read.parquet(f"{ctree.path}/leaves")
+        assert sorted(df.columns) == ["id", "leaf_id", "rank", "sax", "zkey"]
+        assert list(ctree.directory.columns) == [
+            "leaf_id", "min_zkey", "max_zkey", "count", "min_rank"
+        ]
 
     def test_secondary_has_raw_file(self, ctree, spark):
         raw = spark.read.parquet(f"{ctree.path}/raw")
@@ -158,6 +157,14 @@ class TestEdgeInputs:
         empty = spark.createDataFrame([], "id long, series array<double>")
         with pytest.raises(ValueError, match="empty"):
             build_coconut_tree(spark, empty, path=str(tmp_path / "empty"))
+
+    def test_w_not_dividing_length_raises(self, spark, walk_df, tmp_path):
+        """Caught on the driver, before the sort job or any file write."""
+        from repro.core.coconut_tree import build_coconut_tree
+
+        with pytest.raises(ValueError, match="must divide"):
+            build_coconut_tree(spark, walk_df, path=str(tmp_path / "w7"), w=7)
+        assert not (tmp_path / "w7").exists()
 
 
 class TestLeafCapacityVariants:

@@ -145,3 +145,61 @@ class TestEdgeInputs:
         empty = spark.createDataFrame([], "id long, series array<double>")
         with pytest.raises(ValueError, match="empty"):
             build_coconut_trie(spark, empty, path=str(tmp_path / "empty"))
+
+    def test_w_not_dividing_length_raises(self, spark, walk_df, tmp_path):
+        """Caught on the driver, before the sort job or any file write."""
+        from repro.core.coconut_trie import build_coconut_trie
+
+        with pytest.raises(ValueError, match="must divide"):
+            build_coconut_trie(spark, walk_df, path=str(tmp_path / "w7"), w=7)
+        assert not (tmp_path / "w7").exists()
+
+
+class TestWideKeys:
+    """``w*bits = 128 > 64``: leaves are split on the first 64 key bits
+    only, and a group of identical keys stops at ``MAX_DEPTH`` as one
+    oversized leaf."""
+
+    N, DUPS, CAP = 300, 20, 10
+
+    @pytest.fixture(scope="class")
+    def wide(self, spark, tmp_path_factory):
+        import pandas as pd
+
+        from repro.core.coconut_trie import build_coconut_trie
+        from repro.synth_data import series_matrix
+
+        mat = series_matrix(n_series=self.N - self.DUPS, length=64, kind="walk", seed=7)
+        mat = np.vstack([mat, np.repeat(mat[:1], self.DUPS, axis=0)])
+        df = spark.createDataFrame(
+            pd.DataFrame({"id": np.arange(self.N), "series": list(mat)}),
+            "id long, series array<double>",
+        )
+        idx = build_coconut_trie(
+            spark, df, path=str(tmp_path_factory.mktemp("wide")), w=16, bits=8,
+            leaf_capacity=self.CAP,
+        )
+        yield idx, mat
+        idx.close()
+
+    def test_counts_sum_to_n(self, wide):
+        idx, _ = wide
+        assert idx.directory["count"].sum() == self.N
+        # The DUPS+1 identical keys cannot be split: MAX_DEPTH was reached.
+        assert idx.directory["count"].max() == self.DUPS + 1
+
+    def test_ranks_contiguous_within_leaf(self, spark, wide):
+        idx, _ = wide
+        pdf = spark.read.parquet(f"{idx.path}/leaves").select("leaf_id", "rank").toPandas()
+        for _, grp in pdf.groupby("leaf_id"):
+            r = sorted(grp["rank"])
+            assert r == list(range(r[0], r[0] + len(r)))
+
+    def test_exact_equals_brute_force(self, wide, queries):
+        from repro.baselines.brute_force import exact_nn_numpy
+        from repro.core.query import exact_search
+
+        idx, mat = wide
+        for q in queries:
+            _, gd = exact_nn_numpy(np.arange(self.N), mat, q)
+            assert exact_search(idx, q).distance == pytest.approx(gd)

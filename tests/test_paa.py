@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.paa import paa, paa_df
+from repro.core.paa import paa
 from repro.oracle import assert_equivalent
 
 
@@ -56,20 +56,18 @@ class TestPaaNumpy:
 
 
 class TestPaaSpark:
-    def test_matches_numpy(self, spark, walk_df, walk_mat):
-        got = paa_df(walk_df, 8).toPandas().sort_values("id")
-        expected = paa(walk_mat, 8)
-        assert np.allclose(np.stack(got["paa"].to_numpy()), expected)
-
-    def test_oracle_segment_means(self, spark, walk_df, walk_mat):
+    def test_oracle_segment_means(self, spark, walk_mat):
         """PAA segment means agree with a DuckDB GROUP BY over unpivoted
         series rows."""
         from repro.baselines.brute_force import unpivot_series
-        from pyspark.sql import functions as F
 
         w, n = 8, walk_mat.shape[1]
-        got = paa_df(walk_df, w).select(
-            "id", *[F.col("paa")[j].alias(f"seg{j}") for j in range(w)]
+        segs = paa(walk_mat, w)
+        got = spark.createDataFrame(
+            pd.DataFrame(
+                {"id": np.arange(len(walk_mat)),
+                 **{f"seg{j}": segs[:, j] for j in range(w)}}
+            )
         )
         long = unpivot_series(np.arange(len(walk_mat)), walk_mat)
         seg_exprs = ", ".join(

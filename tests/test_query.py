@@ -9,8 +9,10 @@ from repro.core.query import (
     approximate_search,
     exact_search,
     query_summary,
+    sims_scan,
 )
 from repro.oracle import assert_equivalent
+from repro.storage.disk_model import DiskModel
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +141,33 @@ class TestExactSearch:
             gid, gd = exact_nn_numpy(np.arange(200), mat, q)
             assert exact_search(idx, q).distance == pytest.approx(gd)
         idx.close()
+
+
+class TestSimsScan:
+    def test_running_bsf_prunes_and_runs_are_charged(self):
+        """Candidates whose bound no longer beats the running bsf are
+        skipped; visited blocks {0, 1, 3} are two sequential runs."""
+        dists = np.array([5.0, 3.0, 4.0, 1.0, 2.0])
+        series = np.zeros((5, 4))
+        series[:, 0] = dists
+        disk = DiskModel()
+        got = sims_scan(
+            np.zeros(4), np.array([0.0, 0.0, 3.5, 0.0, 2.5]), series,
+            np.arange(10, 15), np.array([0, 33, 40, 100, 5]),
+            10.0, -1, disk, 32,
+        )
+        assert got == (13, 1.0, 3)  # rows 0, 1, 3 visited
+        assert (disk.seq_runs, disk.seq_read_blocks) == (2, 3)
+        assert disk.random_reads == 0
+
+    def test_nothing_visited_charges_nothing(self):
+        disk = DiskModel()
+        got = sims_scan(
+            np.zeros(4), np.array([2.0, 3.0]), np.ones((2, 4)), np.arange(2),
+            np.arange(2), 1.5, 7, disk, 32,
+        )
+        assert got == (7, 1.5, 0)
+        assert disk.seq_runs == 0 and disk.seq_read_blocks == 0
 
 
 class TestNoSparkJobs:

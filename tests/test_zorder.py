@@ -12,7 +12,6 @@ from repro.core.zorder import (
     key_width_hex,
     prefix_key,
     zkeys,
-    zkeys_df,
 )
 
 
@@ -155,12 +154,19 @@ class TestSortingSimilarity:
 
 
 class TestZkeysSpark:
+    """The Spark summarization pass emits the numpy keys and words."""
+
+    def _summaries(self, walk_df):
+        from repro.core.coconut_tree import summarize_series
+
+        return summarize_series(walk_df, 8, 4, keep_series=False).toPandas().sort_values("id")
+
     def test_matches_numpy(self, spark, walk_df, walk_mat):
-        got = zkeys_df(walk_df, 8, 4).toPandas().sort_values("id")
+        got = self._summaries(walk_df)
         expected = zkeys(walk_mat, 8, 4)
         assert list(got["zkey"]) == expected
 
     def test_sax_column_matches(self, spark, walk_df, walk_mat):
-        got = zkeys_df(walk_df, 8, 4).toPandas().sort_values("id")
+        got = self._summaries(walk_df)
         expected = sax(walk_mat, 8, 4)
         assert np.array_equal(np.stack(got["sax"].to_numpy()), expected)
