@@ -11,7 +11,7 @@ from repro.baselines.dstree import DSTreeIndex
 from repro.baselines.isax_index import ISaxIndex
 from repro.baselines.rtree import RTreeIndex
 from repro.baselines.vertical import VerticalIndex
-from repro.core.coconut_tree import build_coconut_tree
+from repro.core.coconut_tree import build_coconut_tree, merge_batch
 from repro.core.coconut_trie import build_coconut_trie
 from repro.storage.disk_model import DiskConfig
 from repro.synth_data import query_workload, series_collection, series_matrix
@@ -94,6 +94,22 @@ def ctrie_full(spark, walk_df, tmp_path_factory, disk_cfg):
         build_coconut_trie, spark, walk_df,
         tmp_path_factory.mktemp("ctrie_full"), disk_cfg, materialized=True,
     )
+
+
+@pytest.fixture(scope="session")
+def merged_index(spark, tmp_path_factory):
+    """A secondary CTree of 150 walks with a batch of 60 merged in."""
+    tmp = tmp_path_factory.mktemp("merge")
+    cfg = DiskConfig(block_series=32, memory_series=50, series_bytes=512)
+    base = series_collection(spark, n_series=150, length=64, seed=21)
+    idx = build_coconut_tree(
+        spark, base, path=str(tmp / "base"), w=8, bits=4, leaf_capacity=40,
+        materialized=False, disk_config=cfg,
+    )
+    batch = series_collection(spark, n_series=60, length=64, seed=21, id_offset=150)
+    merged = merge_batch(idx, batch, path=str(tmp / "merged"))
+    yield merged
+    merged.close()
 
 
 @pytest.fixture(scope="session")

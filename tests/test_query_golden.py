@@ -6,11 +6,13 @@ dataset and its 5 queries, for tree and trie indexes, secondary and
 materialized.  Each index is built fresh, so the first exact query pays
 the one-time summaries load (Algorithm 5 lines 3-4).  The ADS+ and
 ADSFull exact searches (SIMS seeded by the approximate answer) are
-pinned the same way.  A change to how the query path reads leaves, raw
+pinned the same way, and so is what each Coconut build produced: its
+size, the directory's per-leaf counts and key ranges in directory order,
+and the build's ``DiskModel`` counters (leaf ids are not pinned).  A change to how the query path reads leaves, raw
 series or summaries, or to how the SIMS scan charges its blocks, must
 leave every figure here unchanged; only a deliberate cost-model change
 may update ``golden_query_counters.json`` (regenerate with ``collect``
-and ``collect_ads``).
+``collect_ads`` and ``collect_build``).
 """
 import json
 import shutil
@@ -79,4 +81,27 @@ def collect_ads(index, queries) -> list[dict]:
 def test_ads_exact_counters_unchanged(case, request, queries):
     expected = json.loads(GOLDEN.read_text())[case]
     got = collect_ads(request.getfixturevalue(case), queries)
+    assert json.loads(json.dumps(got)) == expected
+
+
+BUILD_FIXTURES = {
+    "tree-secondary": "ctree", "tree-materialized": "ctree_full",
+    "trie-secondary": "ctrie", "trie-materialized": "ctrie_full",
+    "merge": "merged_index",
+}
+
+
+def collect_build(index) -> dict:
+    """What a build produced, leaving out the leaf ids."""
+    d = index.directory
+    return {"n_series": index.n_series, "n_leaves": index.n_leaves,
+            "count": d["count"].tolist(), "min_zkey": d["min_zkey"].tolist(),
+            "max_zkey": d["max_zkey"].tolist(),
+            "disk": index.build_disk.snapshot()}
+
+
+@pytest.mark.parametrize("case", BUILD_FIXTURES)
+def test_build_results_unchanged(case, request):
+    expected = json.loads(GOLDEN.read_text())["build"][case]
+    got = collect_build(request.getfixturevalue(BUILD_FIXTURES[case]))
     assert json.loads(json.dumps(got)) == expected

@@ -9,21 +9,6 @@ from repro.storage.disk_model import DiskConfig
 from repro.synth_data import query_workload, series_collection, series_matrix
 
 
-@pytest.fixture(scope="module")
-def merged_index(spark, tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("merge")
-    cfg = DiskConfig(block_series=32, memory_series=50, series_bytes=512)
-    base = series_collection(spark, n_series=150, length=64, seed=21)
-    idx = build_coconut_tree(
-        spark, base, path=str(tmp / "base"), w=8, bits=4, leaf_capacity=40,
-        materialized=False, disk_config=cfg,
-    )
-    batch = series_collection(spark, n_series=60, length=64, seed=21, id_offset=150)
-    merged = merge_batch(idx, batch, path=str(tmp / "merged"))
-    yield merged
-    merged.close()
-
-
 class TestMergeBatch:
     def test_count_grows(self, merged_index):
         assert merged_index.n_series == 210
