@@ -8,27 +8,29 @@ comparison (paper §4.2 vs §4.3) clean:
   Each record is the paper's leaf entry: the invSAX key ``zkey`` (with
   its SAX word ``sax``) and the series ``id`` in place of a file offset,
   plus its ``rank`` in file order.  Materialized leaves also hold the
-  series.
+  series.  A leaf is a contiguous run of ranks, so its ``leaf_id`` is
+  the rank of its first record.
 - ``<path>/raw``     — Parquet (id, series): stands in for the paper's
   raw series file; only written for non-materialized (secondary)
   indexes, whose leaves hold ids ("offsets") instead of series.
-- a driver-side *leaf directory* (min/max z-key, count, first rank):
-  the in-memory internal levels of the tree/trie.
-- driver-resident :class:`Summaries` (SAX words, ids, ranks, leaf ids
-  as numpy arrays in file order): the paper's "in-memory
+- a driver-side *leaf directory* (leaf id, min/max z-key, count, in
+  file order): the in-memory internal levels of the tree/trie.
+- driver-resident :class:`Summaries` (SAX words and ids as numpy
+  arrays, row ``i`` holding rank ``i``): the paper's "in-memory
   summarizations" used by the SIMS exact search, loaded from
-  ``leaves/`` on first use.
+  ``leaves/`` on first use.  A record's leaf is found from its rank
+  with :meth:`CoconutIndex.leaf_of`.
 
 Spark writes the files; queries read them back with ``pyarrow.parquet``
 one part file at a time, so answering a query starts no Spark job.
 
-They differ only in how ranks map to leaves (median/equi split vs
-prefix split) and in construction cost accounting.
+They differ only in where a leaf starts (every ``leaf_capacity``-th
+rank vs a prefix boundary) and in construction cost accounting.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -62,13 +64,11 @@ def _read_part(path: str, columns: list[str] | None) -> pa.Table:
 
 @dataclass
 class Summaries:
-    """The SAX words of all N records in file (rank) order, with the
-    id, rank and leaf of each: Algorithm 5's in-memory summarizations."""
+    """The SAX word and id of all N records; row ``i`` is the record of
+    rank ``i`` (ranks are dense): Algorithm 5's in-memory summarizations."""
 
     sax: np.ndarray       # (N, w) symbols
     id: np.ndarray
-    rank: np.ndarray
-    leaf_id: np.ndarray
 
 
 @dataclass
@@ -76,7 +76,6 @@ class CoconutIndex:
     """A built Coconut index plus everything a query needs to run."""
 
     spark: SparkSession
-    variant: str                 # "tree" | "trie"
     path: str
     w: int
     bits: int
@@ -84,11 +83,11 @@ class CoconutIndex:
     leaf_capacity: int
     materialized: bool
     n_series: int
-    directory: pd.DataFrame      # leaf_id,min_zkey,max_zkey,count,min_rank
+    directory: pd.DataFrame      # leaf_id,min_zkey,max_zkey,count by leaf_id
     build_disk: DiskModel        # construction I/O accounting
     disk_config: DiskConfig
+    build_wall_s: float
     summaries: Summaries | None = None  # resident once loaded (Algorithm 5 l.3-4)
-    extra: dict = field(default_factory=dict)
 
     # -- derived stats (Fig 8c) -------------------------------------------
     @property
@@ -120,6 +119,12 @@ class CoconutIndex:
         return max(1, -(-count // per_block))
 
     # -- leaf access -------------------------------------------------------
+    def leaf_of(self, ranks: np.ndarray) -> np.ndarray:
+        """Leaf id of each record rank: the last leaf starting at or
+        before it."""
+        starts = self.directory["leaf_id"].to_numpy()
+        return starts[np.searchsorted(starts, ranks, side="right") - 1]
+
     def _leaf_dir(self, leaf_id: int) -> str:
         return f"{self.path}/leaves/leaf_id={int(leaf_id)}"
 
@@ -160,8 +165,8 @@ class CoconutIndex:
         return pa.concat_tables(parts).to_pandas(use_threads=False)
 
     def load_summaries(self) -> Summaries:
-        """Read every leaf's (id, rank, sax) into numpy, in file order."""
-        ids, ranks, saxes, leaves = [], [], [], []
+        """Read every leaf's (id, sax) into numpy, each record at its rank."""
+        ids, ranks, saxes = [], [], []
         for lid in self.directory["leaf_id"]:
             for f in _part_files(self._leaf_dir(lid)):
                 t = _read_part(f, ["id", "rank", "sax"])
@@ -169,15 +174,8 @@ class CoconutIndex:
                 ranks.append(t.column("rank").to_numpy())
                 sax = t.column("sax").combine_chunks().flatten()
                 saxes.append(sax.to_numpy().reshape(-1, self.w))
-                leaves.append(np.full(len(t), lid, np.int64))
-        rank = np.concatenate(ranks)
-        order = np.argsort(rank)
-        return Summaries(
-            sax=np.concatenate(saxes)[order],
-            id=np.concatenate(ids)[order],
-            rank=rank[order],
-            leaf_id=np.concatenate(leaves)[order],
-        )
+        order = np.argsort(np.concatenate(ranks))
+        return Summaries(sax=np.concatenate(saxes)[order], id=np.concatenate(ids)[order])
 
     def close(self) -> None:
         """Release the resident summaries."""
@@ -185,19 +183,18 @@ class CoconutIndex:
 
 
 def directory_from_summaries(summaries: DataFrame) -> pd.DataFrame:
-    """Aggregate the leaf directory: per-leaf z-key range, count and
-    first rank, in key order."""
+    """Aggregate the leaf directory: per-leaf z-key range and count, in
+    file order (by ``leaf_id``, the leaf's first rank)."""
     pdf = (
         summaries.groupBy("leaf_id")
         .agg(
             F.min("zkey").alias("min_zkey"),
             F.max("zkey").alias("max_zkey"),
             F.count("*").alias("count"),
-            F.min("rank").alias("min_rank"),
         )
         .toPandas()
     )
-    return pdf.sort_values("min_zkey").reset_index(drop=True)
+    return pdf.sort_values("leaf_id").reset_index(drop=True)
 
 
 def write_index_files(

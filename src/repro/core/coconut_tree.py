@@ -7,10 +7,11 @@ Pipeline (the paper's lines map directly onto Spark stages):
 2. lines 9–12  — external sort by invSAX: ``repartitionByRange`` +
    ``sortWithinPartitions`` + global rank (``repro.core.sort_rank``).
 3. line 13     — UB-tree-style bulk load on the sorted stream: with the
-   data sorted, median-based splitting of a leaf level is simply
-   ``leaf_id = rank // leaf_capacity`` — every leaf (except the last) is
-   exactly full, the tree over the leaf ranges is balanced by
-   construction.  Leaves are written as z-key-sorted Parquet partitions,
+   data sorted, median-based splitting of a leaf level simply starts a
+   leaf at every ``leaf_capacity``-th rank, and names it by that first
+   rank (``leaf_id = rank - rank % leaf_capacity``) — every leaf (except
+   the last) is exactly full, the tree over the leaf ranges is balanced
+   by construction.  Leaves are written as z-key-sorted Parquet partitions,
    and the directory (internal levels) is aggregated per leaf.
 
 ``materialized=True`` is Coconut-Tree-Full (series stored in the
@@ -124,22 +125,18 @@ def build_coconut_tree(
 
     summaries = summarize_series(series_df, w, bits, keep_series=materialized)
     ranked = global_sort_with_rank(summaries, "zkey")
-    with_leaf = ranked.withColumn(
-        "leaf_id", (F.col("rank") / F.lit(leaf_capacity)).cast("long")
-    ).persist()
-    n = with_leaf.count()
-    ranked.unpersist()
+    with_leaf = ranked.withColumn("leaf_id", F.col("rank") - F.col("rank") % leaf_capacity)
 
     write_index_files(
         with_leaf, None if materialized else series_df, path, materialized=materialized
     )
     directory = directory_from_summaries(with_leaf)
-    with_leaf.unpersist()
+    ranked.unpersist()
+    n = int(directory["count"].sum())
     charge_tree_build(disk, n, materialized=materialized)
 
     return CoconutIndex(
         spark=spark,
-        variant="tree",
         path=path,
         w=w,
         bits=bits,
@@ -150,7 +147,7 @@ def build_coconut_tree(
         directory=directory,
         build_disk=disk,
         disk_config=cfg,
-        extra={"build_wall_s": time.perf_counter() - t0},
+        build_wall_s=time.perf_counter() - t0,
     )
 
 
@@ -186,8 +183,8 @@ def merge_batch(
     # Replace the generic build charge with the merge cost: the batch is
     # scanned+sorted, the old run is streamed in, the merged run streamed
     # out — no random I/O.
-    b = batch_df.count()
     n_old = index.n_series
+    b = merged.n_series - n_old
     disk = DiskModel(config=index.disk_config)
     c = index.disk_config
     per_block = c.block_series if index.materialized else c.summaries_per_block

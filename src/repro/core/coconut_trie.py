@@ -139,48 +139,47 @@ def build_coconut_trie(
     def root_of(zkey: pd.Series) -> pd.Series:
         return zkey.map(lambda z: _first64(z) >> (64 - start_depth))
 
-    rooted = ranked.withColumn("root", root_of(F.col("zkey")))
-    # Fresh StructType: StructType.add mutates the cached schema in place.
-    from pyspark.sql.types import StringType, StructField, StructType
-
-    out_schema = StructType(
-        ranked.schema.fields + [StructField("leaf_label", StringType())]
+    # One split task per core: the persisted split runs without adaptive
+    # partition coalescing, and one Python task per shuffle partition
+    # would cost more than the split itself.
+    rooted = ranked.withColumn("root", root_of(F.col("zkey"))).repartition(
+        spark.sparkContext.defaultParallelism, "root"
     )
+    # Fresh StructType: StructType.add mutates the cached schema in place.
+    from pyspark.sql.types import LongType, StructField, StructType
+
+    out_schema = StructType(ranked.schema.fields + [StructField("leaf_id", LongType())])
 
     def split_subtree(pdf: pd.DataFrame) -> pd.DataFrame:
-        pdf = pdf.sort_values(["zkey", "id"]).reset_index(drop=True)
+        """Prefix leaves of one root subtree, each named by its first rank."""
+        pdf = pdf.sort_values("rank").drop(columns=["root"]).reset_index(drop=True)
         keys64 = np.array([_first64(z) for z in pdf["zkey"]], dtype=np.uint64)
         labels = assign_prefix_leaves(
             keys64, start_depth=start_depth, capacity=capacity,
             max_depth=min(w * bits, MAX_DEPTH),
         )
-        pdf = pdf.drop(columns=["root"])
-        pdf["leaf_label"] = [f"{d:02d}:{p:016x}" for d, p in labels]
+        # Each row takes the rank of the latest run start: ranks rise, so a
+        # running max over (rank at a run start, else 0) carries it down.
+        starts = [i == 0 or labels[i] != labels[i - 1] for i in range(len(labels))]
+        pdf["leaf_id"] = np.maximum.accumulate(np.where(starts, pdf["rank"], 0))
         return pdf
 
-    labeled = rooted.groupBy("root").applyInPandas(split_subtree, schema=out_schema)
-
-    # Dense leaf ids ordered by file position (labels are unique ranges).
-    label_rank = labeled.groupBy("leaf_label").agg(F.min("rank").alias("min_rank"))
-    label_pdf = label_rank.toPandas().sort_values("min_rank").reset_index(drop=True)
-    label_pdf["leaf_id"] = label_pdf.index.astype("int64")
-    mapping = spark.createDataFrame(label_pdf[["leaf_label", "leaf_id"]])
+    # Persisted: the leaf write and the directory both read the split.
     with_leaf = (
-        labeled.join(mapping, on="leaf_label", how="inner").drop("leaf_label").persist()
+        rooted.groupBy("root").applyInPandas(split_subtree, schema=out_schema).persist()
     )
-    n = with_leaf.count()
-    ranked.unpersist()
 
     write_index_files(
         with_leaf, None if materialized else series_df, path, materialized=materialized
     )
     directory = directory_from_summaries(with_leaf)
     with_leaf.unpersist()
+    ranked.unpersist()
+    n = int(directory["count"].sum())
     charge_trie_build(disk, n, len(directory), capacity, materialized=materialized)
 
     return CoconutIndex(
         spark=spark,
-        variant="trie",
         path=path,
         w=w,
         bits=bits,
@@ -191,5 +190,5 @@ def build_coconut_trie(
         directory=directory,
         build_disk=disk,
         disk_config=cfg,
-        extra={"build_wall_s": time.perf_counter() - t0},
+        build_wall_s=time.perf_counter() - t0,
     )

@@ -55,6 +55,8 @@ def query_summary(index: CoconutIndex, query: np.ndarray) -> tuple[np.ndarray, n
     q = np.asarray(query, dtype=np.float64)
     if q.shape[-1] != index.length:
         raise ValueError(f"query length {q.shape[-1]} != index length {index.length}")
+    if not np.isfinite(q).all():
+        raise ValueError("query values must be finite (no NaN or inf)")
     qp = paa(q, index.w)
     qs = symbols_from_paa(qp, index.bits)
     return qp, qs, interleave(qs[None, :], index.bits)[0]
@@ -148,11 +150,13 @@ def _ensure_summaries_loaded(index: CoconutIndex, disk: DiskModel) -> Summaries:
     return index.summaries
 
 
-def _candidate_series(index: CoconutIndex, ids: np.ndarray, leaf_ids: np.ndarray) -> list:
-    """Raw series of the candidates ``ids``, in the same order: from
-    their leaves when materialized, else from the raw file."""
+def _candidate_series(index: CoconutIndex, ids: np.ndarray, ranks: np.ndarray) -> list:
+    """Raw series of the candidates ``ids`` (of ranks ``ranks``), in the
+    same order: from their leaves when materialized, else from the raw
+    file."""
     if index.materialized:
-        pdf = index.read_leaves(np.unique(leaf_ids).tolist(), columns=["id", "series"])
+        leaf_ids = np.unique(index.leaf_of(ranks)).tolist()
+        pdf = index.read_leaves(leaf_ids, columns=["id", "series"])
     else:
         pdf = index.fetch_raw(ids.tolist())
     lookup = dict(zip(pdf["id"].tolist(), pdf["series"]))
@@ -200,6 +204,7 @@ def exact_search(
     _check_radius(radius)
     t0 = time.perf_counter()
     disk = DiskModel(config=index.disk_config)
+    qp, _, _ = query_summary(index, query)
     sums = _ensure_summaries_loaded(index, disk)
 
     approx = approximate_search(index, query, radius=radius)
@@ -208,15 +213,14 @@ def exact_search(
     # threads in the paper): CPU-only, one compare-scale op per summary.
     disk.charge_cpu(index.n_series * index.disk_config.cpu_sort_item_s)
 
-    qp, _, _ = query_summary(index, query)
     md = mindist_paa_sax(qp, sums.sax, index.length, index.bits)
-    keep = np.flatnonzero(md < approx.distance)  # summaries are in file (rank) order
+    keep = np.flatnonzero(md < approx.distance)  # candidate ranks: row i is rank i
     cand_id = sums.id[keep]
     # Raw series for candidates, fetched once; then visited in file order
     # (SIMS's synchronized skip-sequential scan) over raw-record blocks.
     bsf_id, bsf, visited = sims_scan(
-        query, md[keep], _candidate_series(index, cand_id, sums.leaf_id[keep]),
-        cand_id, sums.rank[keep], approx.distance, approx.id, disk,
+        query, md[keep], _candidate_series(index, cand_id, keep),
+        cand_id, keep, approx.distance, approx.id, disk,
         index.disk_config.block_series,
     )
 

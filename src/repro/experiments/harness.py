@@ -92,7 +92,7 @@ def build_system(
             fill_factor=idx.fill_factor,
             index_bytes=idx.index_bytes,
             build_sim_s=idx.build_disk.seconds(),
-            build_wall_s=idx.extra["build_wall_s"],
+            build_wall_s=idx.build_wall_s,
             build_io=idx.build_disk.snapshot(),
             approximate=lambda q, radius=1: cquery.approximate_search(idx, q, radius=radius),
             exact=lambda q, radius=1: cquery.exact_search(idx, q, radius=radius),

@@ -17,7 +17,7 @@ class TestStructure:
     def test_leaves_are_balanced_median_splits(self, ctree):
         """Every leaf except the last is exactly full — the UB-tree bulk
         load packs densely (paper: ~97% utilization)."""
-        counts = ctree.directory.sort_values("min_rank")["count"].to_list()
+        counts = ctree.directory["count"].to_list()  # in file order
         assert all(c == CAPACITY for c in counts[:-1])
         assert 0 < counts[-1] <= CAPACITY
 
@@ -77,11 +77,11 @@ class TestPersistedLayout:
 
     def test_leaf_record_and_directory_columns(self, ctree, spark):
         """A leaf record is (id, zkey, sax, rank); the directory holds each
-        leaf's key range, count and first rank."""
+        leaf's id (its first rank), key range and count."""
         df = spark.read.parquet(f"{ctree.path}/leaves")
         assert sorted(df.columns) == ["id", "leaf_id", "rank", "sax", "zkey"]
         assert list(ctree.directory.columns) == [
-            "leaf_id", "min_zkey", "max_zkey", "count", "min_rank"
+            "leaf_id", "min_zkey", "max_zkey", "count"
         ]
 
     def test_secondary_has_raw_file(self, ctree, spark):

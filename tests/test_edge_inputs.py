@@ -1,0 +1,111 @@
+"""Edge inputs for both Coconut builders: duplicate z-keys across leaf
+boundaries, a constant series and an all-NaN series.
+
+The collection is 300 random walks, ``3 * CAP + 1`` copies of one
+constant, un-normalised series (one z-key, so the run spans at least
+three tree leaves and cannot be split by the trie) and one all-NaN
+series.  The NaN series gets the top symbol in every segment; it is
+indexed but, at distance NaN, never returned as an answer.
+"""
+import numpy as np
+import pandas as pd
+import pytest
+
+from repro.baselines.brute_force import exact_nn_numpy
+from repro.core.coconut_tree import build_coconut_tree
+from repro.core.coconut_trie import build_coconut_trie
+from repro.core.query import exact_search
+from repro.core.zorder import zkeys
+from repro.synth_data import series_matrix
+from tests.conftest import LENGTH
+
+N_WALKS, CAP = 300, 20
+N_CONST = 3 * CAP + 1
+CONSTANT = np.full(LENGTH, 0.7)
+BUILDERS = {"tree": build_coconut_tree, "trie": build_coconut_trie}
+
+
+@pytest.fixture(scope="module")
+def edge_mat() -> np.ndarray:
+    walks = series_matrix(n_series=N_WALKS, length=LENGTH, kind="walk", seed=5)
+    return np.vstack([walks, np.tile(CONSTANT, (N_CONST, 1)), np.full((1, LENGTH), np.nan)])
+
+
+@pytest.fixture(scope="module", params=[
+    (v, m) for v in BUILDERS for m in ("secondary", "materialized")
+], ids="-".join)
+def edge_case(request) -> tuple[str, str]:
+    return request.param
+
+
+@pytest.fixture(scope="module")
+def edge_index(edge_case, spark, edge_mat, tmp_path_factory):
+    variant, mode = edge_case
+    df = spark.createDataFrame(
+        pd.DataFrame({"id": np.arange(len(edge_mat)), "series": list(edge_mat)}),
+        "id long, series array<double>",
+    )
+    idx = BUILDERS[variant](
+        spark, df, path=str(tmp_path_factory.mktemp(f"edge_{variant}")),
+        w=8, bits=4, leaf_capacity=CAP, materialized=mode == "materialized",
+    )
+    yield idx
+    idx.close()
+
+
+@pytest.fixture(scope="module")
+def leaf_ranks(spark, edge_index) -> pd.DataFrame:
+    return (
+        spark.read.parquet(f"{edge_index.path}/leaves")
+        .select("leaf_id", "rank").toPandas()
+    )
+
+
+def test_counts_sum_to_n(edge_index, edge_mat):
+    assert edge_index.n_series == len(edge_mat)
+    assert edge_index.directory["count"].sum() == len(edge_mat)
+
+
+def test_ranks_contiguous_within_leaf(leaf_ranks):
+    for _, grp in leaf_ranks.groupby("leaf_id"):
+        r = sorted(grp["rank"])
+        assert r == list(range(r[0], r[0] + len(r)))
+
+
+def test_leaf_id_is_first_rank(edge_index, leaf_ranks):
+    first = leaf_ranks.groupby("leaf_id")["rank"].min()
+    assert (first.index == first.to_numpy()).all()
+    assert list(edge_index.directory["leaf_id"]) == list(first.index)
+
+
+def test_key_ranges_ordered(edge_index):
+    d = edge_index.directory
+    assert all(d["max_zkey"].iloc[:-1].to_numpy() <= d["min_zkey"].iloc[1:].to_numpy())
+
+
+def test_duplicate_key_spans_leaves(edge_case, edge_index):
+    """The constant series' one z-key spans at least three tree leaves;
+    the trie cannot split it and keeps it in one oversized leaf."""
+    z = zkeys(CONSTANT[None, :], edge_index.w, edge_index.bits)[0]
+    d = edge_index.directory
+    holding = d[(d["min_zkey"] <= z) & (z <= d["max_zkey"])]
+    if edge_case[0] == "tree":
+        assert len(holding) >= 3
+    else:
+        assert len(holding) == 1 and holding["count"].iloc[0] >= N_CONST
+
+
+def test_exact_equals_brute_force(edge_index, edge_mat, queries):
+    finite = np.isfinite(edge_mat).all(axis=1)
+    ids = np.flatnonzero(finite)
+    for q in [*queries, CONSTANT]:
+        _, gd = exact_nn_numpy(ids, edge_mat[finite], q)
+        r = exact_search(edge_index, q)
+        assert r.distance == pytest.approx(gd)
+        assert finite[r.id]
+
+
+def test_constant_series_found_at_distance_zero(edge_index):
+    r = exact_search(edge_index, CONSTANT)
+    assert r.distance == 0.0
+    assert N_WALKS <= r.id < N_WALKS + N_CONST

@@ -210,6 +210,32 @@ class TestRadius:
             search(ctree, queries[0], radius=radius)
 
 
+def _all_nan(q: np.ndarray) -> np.ndarray:
+    return np.full_like(q, np.nan)
+
+
+def _one_inf(q: np.ndarray) -> np.ndarray:
+    q = q.copy()
+    q[3] = np.inf
+    return q
+
+
+class TestNonFiniteQuery:
+    @pytest.mark.parametrize("search", [approximate_search, exact_search])
+    @pytest.mark.parametrize("make", [_all_nan, _one_inf])
+    def test_raises(self, ctree, queries, search, make):
+        with pytest.raises(ValueError, match="finite"):
+            search(ctree, make(queries[0]))
+
+    def test_exact_checks_before_loading_summaries(self, ctree, queries):
+        import dataclasses
+
+        fresh = dataclasses.replace(ctree, summaries=None)
+        with pytest.raises(ValueError, match="finite"):
+            exact_search(fresh, _one_inf(queries[0]))
+        assert fresh.summaries is None
+
+
 class TestQuerySummary:
     def test_zkey_consistent_with_dataset(self, ctree, walk_mat):
         from repro.core.zorder import zkeys

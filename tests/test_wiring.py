@@ -1,4 +1,5 @@
-"""Wiring guard: every module, job and benchmark trace point still resolves.
+"""Wiring guard: every module, job and benchmark trace point still
+resolves, and every trace point is still called.
 
 No other test imports the ``jobs/`` entrypoints or the benchmark's span
 recorder, so a deleted or moved function they use would otherwise go
@@ -10,6 +11,7 @@ import pkgutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -47,3 +49,41 @@ def test_span_patch_targets_resolve():
     assert spans.PATCHES
     for target, attr, *_ in spans.PATCHES:
         assert hasattr(spans._resolve(target), attr), f"{target}.{attr}"
+
+
+def test_span_patch_targets_are_called(spark, tmp_path, monkeypatch):
+    """Each traced name is still *called* where it is looked up: a tiny
+    CTree, a CTreeFull with one merged batch, a CTrie, and one
+    approximate and one exact query reach every trace point.  A target
+    that still resolves but is no longer called would silently zero its
+    layer in the benchmark's per-layer figures."""
+    from repro.core import coconut_tree, coconut_trie, query
+    from repro.synth_data import series_collection
+
+    spans = _load(ROOT / "perfbench" / "spans.py", "_wiring_spans")
+    calls = {}
+    for target, attr, *_ in spans.PATCHES:
+        owner = spans._resolve(target)
+        key = f"{target}.{attr}"
+        calls[key] = 0
+
+        def counted(*args, _fn=getattr(owner, attr), _key=key, **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    df = series_collection(spark, n_series=60, length=16, seed=3)
+    batch = series_collection(spark, n_series=10, length=16, seed=3, id_offset=60)
+    kw = dict(w=4, bits=4, leaf_capacity=10)
+    ctree = coconut_tree.build_coconut_tree(spark, df, path=str(tmp_path / "t"), **kw)
+    full = coconut_tree.build_coconut_tree(
+        spark, df, path=str(tmp_path / "f"), materialized=True, **kw
+    )
+    coconut_tree.merge_batch(full, batch, path=str(tmp_path / "m")).close()
+    coconut_trie.build_coconut_trie(spark, df, path=str(tmp_path / "r"), **kw)
+    q = np.linspace(-1.0, 1.0, 16)
+    query.approximate_search(ctree, q)
+    query.exact_search(ctree, q)
+    ctree.close()
+    assert [k for k, n in calls.items() if n == 0] == []
