@@ -5,11 +5,12 @@ comparison (paper §4.2 vs §4.3) clean:
 
 - ``<path>/leaves``  — Parquet, partitioned by ``leaf_id``, rows sorted
   by z-key: the contiguous leaf level ("columnar index structure").
-  Each record is the paper's leaf entry: the invSAX key ``zkey`` (with
-  its SAX word ``sax``) and the series ``id`` in place of a file offset,
-  plus its ``rank`` in file order.  Materialized leaves also hold the
-  series.  A leaf is a contiguous run of ranks, so its ``leaf_id`` is
-  the rank of its first record.
+  Each record is the paper's leaf entry: the invSAX key ``zkey`` (a
+  fixed-width ``binary`` value; the SAX word is decoded from it) and the
+  series ``id`` in place of a file offset, plus its ``rank`` in file
+  order.  Materialized leaves also hold the series.  A leaf is a
+  contiguous run of ranks, so its ``leaf_id`` is the rank of its first
+  record.
 - ``<path>/raw``     — Parquet (id, series): stands in for the paper's
   raw series file; only written for non-materialized (secondary)
   indexes, whose leaves hold ids ("offsets") instead of series.
@@ -17,8 +18,8 @@ comparison (paper §4.2 vs §4.3) clean:
   file order): the in-memory internal levels of the tree/trie.
 - driver-resident :class:`Summaries` (SAX words and ids as numpy
   arrays, row ``i`` holding rank ``i``): the paper's "in-memory
-  summarizations" used by the SIMS exact search, loaded from
-  ``leaves/`` on first use.  A record's leaf is found from its rank
+  summarizations" used by the SIMS exact search, decoded from the
+  leaves' keys on first use.  A record's leaf is found from its rank
   with :meth:`CoconutIndex.leaf_of`.
 
 Spark writes the files; queries read them back with ``pyarrow.parquet``
@@ -39,9 +40,10 @@ import pyarrow.parquet as pq
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.core.zorder import deinterleave
 from repro.storage.disk_model import DiskConfig, DiskModel
 
-SUMMARY_COLS = ["id", "zkey", "sax", "rank", "leaf_id"]
+SUMMARY_COLS = ["id", "zkey", "rank", "leaf_id"]
 
 
 def _part_files(directory: str) -> list[str]:
@@ -165,17 +167,18 @@ class CoconutIndex:
         return pa.concat_tables(parts).to_pandas(use_threads=False)
 
     def load_summaries(self) -> Summaries:
-        """Read every leaf's (id, sax) into numpy, each record at its rank."""
-        ids, ranks, saxes = [], [], []
+        """Read every leaf's (id, zkey) and decode the SAX words, each
+        record at its rank."""
+        ids, ranks, keys = [], [], []
         for lid in self.directory["leaf_id"]:
             for f in _part_files(self._leaf_dir(lid)):
-                t = _read_part(f, ["id", "rank", "sax"])
+                t = _read_part(f, ["id", "rank", "zkey"])
                 ids.append(t.column("id").to_numpy())
                 ranks.append(t.column("rank").to_numpy())
-                sax = t.column("sax").combine_chunks().flatten()
-                saxes.append(sax.to_numpy().reshape(-1, self.w))
+                keys.extend(t.column("zkey").to_pylist())
         order = np.argsort(np.concatenate(ranks))
-        return Summaries(sax=np.concatenate(saxes)[order], id=np.concatenate(ids)[order])
+        sax = deinterleave(keys, self.w, self.bits)
+        return Summaries(sax=sax[order], id=np.concatenate(ids)[order])
 
     def close(self) -> None:
         """Release the resident summaries."""

@@ -34,20 +34,20 @@ from repro.core.coconut_common import (
     directory_from_summaries,
     write_index_files,
 )
-from repro.core.sax import sax
 from repro.core.sort_rank import global_sort_with_rank
-from repro.core.zorder import interleave
+from repro.core.zorder import zkeys
 from repro.storage.disk_model import DiskConfig, DiskModel, external_sort_cost
 
 
 def summarize_series(series_df: DataFrame, w: int, bits: int, *, keep_series: bool) -> DataFrame:
-    """(id, series) -> (id, zkey, sax[, series]): Algorithm 3 lines 2–8.
+    """(id, series) -> (id, zkey[, series]): Algorithm 3 lines 2–8.
 
     The one summarization pass of both Coconut variants: a single scan of
-    the raw data computing each series' SAX word and its invSAX key.
+    the raw data computing each series' invSAX key, a fixed-width
+    ``binary`` value that also encodes its SAX word.
     """
 
-    schema = "id long, zkey string, sax array<int>"
+    schema = "id long, zkey binary"
     if keep_series:
         schema += ", series array<double>"
 
@@ -55,11 +55,9 @@ def summarize_series(series_df: DataFrame, w: int, bits: int, *, keep_series: bo
         for pdf in batches:
             if len(pdf) == 0:
                 continue
-            s = sax(np.stack(pdf["series"].to_numpy()), w, bits)
             out = {
                 "id": pdf["id"].to_numpy(),
-                "zkey": interleave(s, bits),
-                "sax": list(s.astype(np.int32)),
+                "zkey": zkeys(np.stack(pdf["series"].to_numpy()), w, bits),
             }
             if keep_series:
                 out["series"] = list(pdf["series"])

@@ -32,17 +32,13 @@ from repro.core.coconut_common import (
 )
 from repro.core.coconut_tree import _series_length, summarize_series
 from repro.core.sort_rank import global_sort_with_rank
+from repro.core.zorder import first64
 from repro.storage.disk_model import DiskConfig, DiskModel, external_sort_cost
 
 #: Prefix depth beyond which a group becomes an (oversized) leaf — 62
 #: interleaved bits is far deeper than any real split needs and keeps
 #: prefixes in int64 range.
 MAX_DEPTH = 62
-
-
-def _first64(zkey_hex: str) -> int:
-    """The first 64 interleaved bits of a z-key as an unsigned int."""
-    return int(zkey_hex[:16].ljust(16, "0"), 16)
 
 
 def assign_prefix_leaves(
@@ -137,7 +133,7 @@ def build_coconut_trie(
 
     @pandas_udf("long")
     def root_of(zkey: pd.Series) -> pd.Series:
-        return zkey.map(lambda z: _first64(z) >> (64 - start_depth))
+        return pd.Series(first64(zkey) >> np.uint64(64 - start_depth), dtype=np.int64)
 
     # One split task per core: the persisted split runs without adaptive
     # partition coalescing, and one Python task per shuffle partition
@@ -153,7 +149,7 @@ def build_coconut_trie(
     def split_subtree(pdf: pd.DataFrame) -> pd.DataFrame:
         """Prefix leaves of one root subtree, each named by its first rank."""
         pdf = pdf.sort_values("rank").drop(columns=["root"]).reset_index(drop=True)
-        keys64 = np.array([_first64(z) for z in pdf["zkey"]], dtype=np.uint64)
+        keys64 = first64(pdf["zkey"])
         labels = assign_prefix_leaves(
             keys64, start_depth=start_depth, capacity=capacity,
             max_depth=min(w * bits, MAX_DEPTH),

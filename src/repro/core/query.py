@@ -50,7 +50,7 @@ class SearchResult:
     extra: dict = field(default_factory=dict)
 
 
-def query_summary(index: CoconutIndex, query: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
+def query_summary(index: CoconutIndex, query: np.ndarray) -> tuple[np.ndarray, np.ndarray, bytes]:
     """(paa, sax, zkey) of the query under the index's parameters."""
     q = np.asarray(query, dtype=np.float64)
     if q.shape[-1] != index.length:
@@ -62,7 +62,7 @@ def query_summary(index: CoconutIndex, query: np.ndarray) -> tuple[np.ndarray, n
     return qp, qs, interleave(qs[None, :], index.bits)[0]
 
 
-def _target_leaf_pos(index: CoconutIndex, zkey: str) -> int:
+def _target_leaf_pos(index: CoconutIndex, zkey: bytes) -> int:
     """Directory position of the leaf whose key range would hold ``zkey``."""
     mins = index.directory["min_zkey"].to_numpy()
     pos = int(np.searchsorted(mins, zkey, side="right")) - 1

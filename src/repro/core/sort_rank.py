@@ -20,16 +20,15 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 
-def global_sort_with_rank(
-    df: DataFrame, key: str, *, num_partitions: int | None = None
-) -> DataFrame:
+def global_sort_with_rank(df: DataFrame, key: str) -> DataFrame:
     """Sort ``df`` globally by (``key``, ``id``) and add a dense ``rank``.
 
     Returns a *persisted* DataFrame (already materialized, so the sampled
     range boundaries and partition-local ranks are frozen); the caller
     should ``unpersist()`` it when done.  Ranks are 0..N-1 with no gaps.
+    The sort runs in one range partition per core (at least two).
     """
-    num_partitions = num_partitions or max(2, df.sparkSession.sparkContext.defaultParallelism)
+    num_partitions = max(2, df.sparkSession.sparkContext.defaultParallelism)
     ordered = (
         df.repartitionByRange(num_partitions, F.col(key), F.col("id"))
         .sortWithinPartitions(key, "id")

@@ -9,28 +9,27 @@ by it keeps series that are similar in every segment adjacent, and its
 bridge between Coconut-Tree's sorted order and Coconut-Trie's prefix
 nodes.
 
-Keys are emitted as fixed-width lowercase hex strings (zero-padded at
-the *tail*, i.e. the least significant end), so lexicographic string
-order equals numeric order on the interleaved bits — Spark sorts them
-natively, no UDF comparator needed.  This module is numpy only; the
+Keys are fixed-width ``bytes`` (``ceil(w*bits/8)`` bytes, zero-padded
+at the *tail*, i.e. the least significant end).  Python, Spark
+``binary``, Parquet and DuckDB ``BLOB`` all compare bytes
+unsigned-lexicographically, which equals numeric order on the
+interleaved bits — Spark sorts them natively, no UDF comparator needed.
+The key is the whole summary: :func:`deinterleave` recovers the SAX
+words from it.  This module is numpy only and owns the key format; the
 Spark summarization pass that emits the keys is
 :func:`repro.core.coconut_tree.summarize_series`.
 """
 from __future__ import annotations
+
+from typing import Iterable
 
 import numpy as np
 
 from repro.core.sax import sax
 
 
-def key_width_hex(w: int, bits: int) -> int:
-    """Hex characters in a z-key for ``w`` segments of ``bits`` bits."""
-    n_bytes = (w * bits + 7) // 8
-    return 2 * n_bytes
-
-
-def interleave(symbols: np.ndarray, bits: int) -> list[str]:
-    """InvertSum (Algorithm 1), vectorized: (m, w) symbols -> m hex z-keys.
+def interleave(symbols: np.ndarray, bits: int) -> list[bytes]:
+    """InvertSum (Algorithm 1), vectorized: (m, w) symbols -> m z-keys.
 
     Bit order: for significance level i = bits-1 .. 0, for segment
     j = 0 .. w-1, emit bit i of symbol j.
@@ -42,32 +41,34 @@ def interleave(symbols: np.ndarray, bits: int) -> list[str]:
     cols = [((s[:, j] >> i) & 1) for i in range(bits - 1, -1, -1) for j in range(w)]
     bitmat = np.stack(cols, axis=1).astype(np.uint8)  # (m, w*bits)
     packed = np.packbits(bitmat, axis=1)  # tail-padded with zero bits
-    return [row.tobytes().hex() for row in packed]
+    return [row.tobytes() for row in packed]
 
 
-def deinterleave(zkey_hex: str, w: int, bits: int) -> np.ndarray:
-    """Inverse of :func:`interleave`: hex z-key -> (w,) symbol vector.
+def deinterleave(keys: Iterable[bytes], w: int, bits: int) -> np.ndarray:
+    """Inverse of :func:`interleave`: m z-keys -> (m, w) uint32 symbols.
 
     The paper notes sortable summarizations carry the same information
     as the originals — this is the "switch back" direction.
     """
-    raw = np.frombuffer(bytes.fromhex(zkey_hex), dtype=np.uint8)
-    bitvec = np.unpackbits(raw)[: w * bits].reshape(bits, w)
+    raw = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(-1, (w * bits + 7) // 8)
+    bitmat = np.unpackbits(raw, axis=1)[:, : w * bits].reshape(-1, bits, w)
     weights = (1 << np.arange(bits - 1, -1, -1, dtype=np.uint32))[:, None]
-    return (bitvec.astype(np.uint32) * weights).sum(axis=0).astype(np.uint32)
+    return (bitmat * weights).sum(axis=1, dtype=np.uint32)
 
 
-def zkeys(x: np.ndarray, w: int, bits: int) -> list[str]:
-    """Raw series -> hex z-keys (PAA -> SAX -> InvertSum)."""
+def first64(keys: Iterable[bytes]) -> np.ndarray:
+    """The first 64 interleaved bits of each z-key as a uint64 array
+    (keys narrower than 8 bytes are zero-padded at the tail)."""
+    head = b"".join(z[:8].ljust(8, b"\0") for z in keys)
+    return np.frombuffer(head, dtype=">u8").astype(np.uint64)
+
+
+def zkeys(x: np.ndarray, w: int, bits: int) -> list[bytes]:
+    """Raw series -> z-keys (PAA -> SAX -> InvertSum)."""
     return interleave(sax(x, w, bits), bits)
 
 
-def key_to_int(zkey_hex: str) -> int:
-    """Z-key as a Python int (padding bits included) for driver-side tries."""
-    return int(zkey_hex, 16)
-
-
-def prefix_key(zkey_hex: str, w: int, bits: int, k: int) -> int:
+def prefix_key(zkey: bytes, w: int, bits: int, k: int) -> int:
     """First ``k*w`` interleaved bits as an int = resolution-``k`` iSAX word.
 
     Two series share a ``k``-bit iSAX prefix in *every* segment iff their
@@ -75,5 +76,4 @@ def prefix_key(zkey_hex: str, w: int, bits: int, k: int) -> int:
     """
     if not 0 <= k <= bits:
         raise ValueError(f"k={k} must be in [0, bits={bits}]")
-    total_padded = 4 * len(zkey_hex)
-    return key_to_int(zkey_hex) >> (total_padded - k * w)
+    return int.from_bytes(zkey, "big") >> (8 * len(zkey) - k * w)

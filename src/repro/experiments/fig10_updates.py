@@ -42,7 +42,7 @@ def updates_workload(
     workdir: str | None = None,
 ) -> list[dict]:
     """Fig 10a: total time (build + updates + queries) per batch size."""
-    cfg = disk_config_for(total_series, length, mem_frac=mem_frac, leaf_capacity=leaf_capacity)
+    cfg = disk_config_for(total_series, length, mem_frac=mem_frac)
     initial = int(total_series * initial_frac)
     queries = query_workload(n_queries=64, length=length, kind=kind)
     rows = []
@@ -125,7 +125,7 @@ def complete_workload(
     queries = query_workload(n_queries=n_queries, length=length, kind=kind)
     rows = []
     for mem_frac in mem_fracs:
-        cfg = disk_config_for(n_series, length, mem_frac=mem_frac, leaf_capacity=leaf_capacity)
+        cfg = disk_config_for(n_series, length, mem_frac=mem_frac)
         for name in systems:
             h = build_system(
                 name, spark, df, w=w, bits=bits, leaf_capacity=leaf_capacity,

@@ -19,7 +19,7 @@ from repro.synth_data import series_collection
 
 
 def _build_row(name: str, spark, df, *, n, length, w, bits, leaf_capacity, mem_frac, workdir):
-    cfg = disk_config_for(n, length, mem_frac=mem_frac, leaf_capacity=leaf_capacity)
+    cfg = disk_config_for(n, length, mem_frac=mem_frac)
     h = build_system(
         name, spark, df, w=w, bits=bits, leaf_capacity=leaf_capacity,
         disk_config=cfg, workdir=workdir,

@@ -23,7 +23,7 @@ def _build_handles(
 ):
     df = series_collection(spark, n_series=n_series, length=length, kind=kind).persist()
     df.count()
-    cfg = disk_config_for(n_series, length, mem_frac=mem_frac, leaf_capacity=leaf_capacity)
+    cfg = disk_config_for(n_series, length, mem_frac=mem_frac)
     handles = {
         name: build_system(
             name, spark, df, w=w, bits=bits, leaf_capacity=leaf_capacity,

@@ -51,9 +51,7 @@ class SystemHandle:
     close: Callable[[], None]
 
 
-def disk_config_for(
-    n_series: int, length: int, *, mem_frac: float, leaf_capacity: int
-) -> DiskConfig:
+def disk_config_for(n_series: int, length: int, *, mem_frac: float) -> DiskConfig:
     """Disk geometry scaled to the experiment: a block holds ~32 series,
     memory holds ``mem_frac * n_series`` series."""
     series_bytes = length * 8

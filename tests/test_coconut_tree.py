@@ -48,17 +48,18 @@ class TestStructure:
         assert list(pdf["zkey"]) == sorted(pdf["zkey"])
 
     def test_directory_against_oracle(self, spark, ctree):
-        """Leaf directory aggregates equal a DuckDB GROUP BY."""
+        """Leaf directory aggregates equal a DuckDB GROUP BY (key ranges
+        compared as hex: collected binary values are unhashable)."""
         leaves = spark.read.parquet(f"{ctree.path}/leaves")
         got = leaves.groupBy("leaf_id").agg(
-            F.min("zkey").alias("min_zkey"),
-            F.max("zkey").alias("max_zkey"),
+            F.hex(F.min("zkey")).alias("min_zkey"),
+            F.hex(F.max("zkey")).alias("max_zkey"),
             F.count("*").alias("cnt"),
         )
         pdf = leaves.select("leaf_id", "zkey").toPandas()
         assert_equivalent(
             got,
-            "SELECT leaf_id, min(zkey) AS min_zkey, max(zkey) AS max_zkey, "
+            "SELECT leaf_id, hex(min(zkey)) AS min_zkey, hex(max(zkey)) AS max_zkey, "
             "count(*) AS cnt FROM s GROUP BY leaf_id",
             s=pdf,
         )
@@ -76,13 +77,27 @@ class TestPersistedLayout:
         assert "leaf_id" in df.columns
 
     def test_leaf_record_and_directory_columns(self, ctree, spark):
-        """A leaf record is (id, zkey, sax, rank); the directory holds each
+        """A leaf record is (id, zkey, rank); the directory holds each
         leaf's id (its first rank), key range and count."""
         df = spark.read.parquet(f"{ctree.path}/leaves")
-        assert sorted(df.columns) == ["id", "leaf_id", "rank", "sax", "zkey"]
+        assert sorted(df.columns) == ["id", "leaf_id", "rank", "zkey"]
+        assert dict(df.dtypes)["zkey"] == "binary"
         assert list(ctree.directory.columns) == [
             "leaf_id", "min_zkey", "max_zkey", "count"
         ]
+
+    @pytest.mark.parametrize("name", ["ctree", "ctrie", "ctree_full"])
+    def test_summaries_decode_to_sax(self, name, request, spark, walk_mat):
+        """The in-memory SAX words, decoded from the leaf keys, are the
+        numpy SAX words of the series in rank order."""
+        from repro.core.sax import sax
+
+        index = request.getfixturevalue(name)
+        pdf = spark.read.parquet(f"{index.path}/leaves").select("id", "rank").toPandas()
+        ids = pdf.sort_values("rank")["id"].to_numpy()
+        summaries = index.load_summaries()
+        assert np.array_equal(summaries.id, ids)
+        assert np.array_equal(summaries.sax, sax(walk_mat, index.w, index.bits)[ids])
 
     def test_secondary_has_raw_file(self, ctree, spark):
         raw = spark.read.parquet(f"{ctree.path}/raw")

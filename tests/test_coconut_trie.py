@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.coconut_trie import MAX_DEPTH, assign_prefix_leaves
-from repro.core.zorder import key_to_int, prefix_key
+from repro.core.zorder import prefix_key
 from tests.conftest import CAPACITY, N_SERIES
 
 
@@ -86,18 +86,18 @@ class TestTrieIndex:
         assert ctrie.fill_factor < ctree.fill_factor
 
     def test_leaf_members_share_prefix(self, spark, ctrie):
+        """A leaf is a trie node: no key in any other leaf shares the
+        longest common prefix of its members."""
         pdf = spark.read.parquet(f"{ctrie.path}/leaves").select("leaf_id", "zkey").toPandas()
-        total_bits = ctrie.w * ctrie.bits
-        for lid, grp in pdf.groupby("leaf_id"):
-            keys = [key_to_int(z) for z in grp["zkey"]]
-            if len(keys) == 1:
-                continue
-            # All members share the prefix that distinguishes this leaf
-            # from its sibling: find the longest common prefix and check
-            # no other leaf's member shares it.
-            hexlen = len(grp["zkey"].iloc[0]) * 4
-            common = hexlen - max((keys[0] ^ k).bit_length() for k in keys)
-            assert common >= 0
+        total_bits = 8 * len(pdf["zkey"].iloc[0])
+        keys = [int.from_bytes(z, "big") for z in pdf["zkey"]]
+        leaf = pdf["leaf_id"].to_list()
+        for lid in set(leaf):
+            members = [k for k, l in zip(keys, leaf) if l == lid]
+            shift = max((members[0] ^ k).bit_length() for k in members)
+            prefix = members[0] >> shift  # the first total_bits - shift bits
+            assert total_bits - shift >= ctrie.w  # at least the root level
+            assert all(k >> shift != prefix for k, l in zip(keys, leaf) if l != lid)
 
     def test_leaves_contiguous_ranges(self, spark, ctrie):
         pdf = spark.read.parquet(f"{ctrie.path}/leaves").select("leaf_id", "rank").toPandas()

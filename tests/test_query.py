@@ -246,7 +246,7 @@ class TestQuerySummary:
     def test_shapes(self, ctree, queries):
         qp, qs, qz = query_summary(ctree, queries[0])
         assert qp.shape == (ctree.w,) and qs.shape == (ctree.w,)
-        assert isinstance(qz, str)
+        assert isinstance(qz, bytes)
 
 
 class TestCostAccounting:

@@ -92,11 +92,12 @@ BUILD_FIXTURES = {
 
 
 def collect_build(index) -> dict:
-    """What a build produced, leaving out the leaf ids."""
+    """What a build produced, leaving out the leaf ids; key ranges as hex."""
     d = index.directory
     return {"n_series": index.n_series, "n_leaves": index.n_leaves,
-            "count": d["count"].tolist(), "min_zkey": d["min_zkey"].tolist(),
-            "max_zkey": d["max_zkey"].tolist(),
+            "count": d["count"].tolist(),
+            "min_zkey": [z.hex() for z in d["min_zkey"]],
+            "max_zkey": [z.hex() for z in d["max_zkey"]],
             "disk": index.build_disk.snapshot()}
 
 

@@ -65,9 +65,10 @@ class TestGlobalSortWithRank:
         out.unpersist()
 
     def test_small_input_fewer_rows_than_partitions(self, spark):
+        """Two rows over one range partition per core (at least two)."""
         pdf = pd.DataFrame({"id": [0, 1], "key": ["b", "a"]})
         out = (
-            global_sort_with_rank(spark.createDataFrame(pdf), "key", num_partitions=8)
+            global_sort_with_rank(spark.createDataFrame(pdf), "key")
             .toPandas()
             .sort_values("rank")
         )
@@ -84,7 +85,7 @@ class TestGlobalSortWithRank:
         """Max key of partition p < min key of partition p+1 (the merge
         phase of the external sort is implicit in range partitioning)."""
         df, _ = _df(spark, n=500, seed=4)
-        out = global_sort_with_rank(df, "key", num_partitions=4)
+        out = global_sort_with_rank(df, "key")
         pid = out.withColumn("pid", F.spark_partition_id())
         stats = (
             pid.groupBy("pid")
@@ -96,4 +97,41 @@ class TestGlobalSortWithRank:
         los = list(stats["lo"])
         for i in range(len(stats) - 1):
             assert his[i] <= los[i + 1]
+        out.unpersist()
+
+
+class TestBinaryKeys:
+    """Z-keys are ``binary``: Spark must order them as unsigned bytes, as
+    Python does, or z-order breaks where the first byte crosses 0x80."""
+
+    FIRST_BYTES = [0x00, 0x01, 0x7E, 0x7F, 0x80, 0x81, 0xFE, 0xFF]
+
+    def _ranked(self, spark):
+        keys = [bytes([a, b]) for a in self.FIRST_BYTES for b in (0x00, 0x7F, 0x80, 0xFF)]
+        order = np.random.default_rng(5).permutation(len(keys))
+        pdf = pd.DataFrame({"id": np.arange(len(keys)), "zkey": [keys[i] for i in order]})
+        return global_sort_with_rank(spark.createDataFrame(pdf, "id long, zkey binary"), "zkey")
+
+    def test_rank_order_is_unsigned_byte_order(self, spark):
+        out = self._ranked(spark)
+        pdf = out.toPandas().sort_values("rank")
+        got = [bytes(z) for z in pdf["zkey"]]
+        assert got == sorted(got)
+        assert got[0][0] == 0x00 and got[-1][0] == 0xFF
+        out.unpersist()
+
+    def test_directory_ranges_follow_unsigned_order(self, spark):
+        from repro.core.coconut_common import directory_from_summaries
+
+        out = self._ranked(spark)
+        with_leaf = out.withColumn("leaf_id", F.col("rank") - F.col("rank") % 5)
+        d = directory_from_summaries(with_leaf)
+        pdf = out.toPandas()
+        for _, row in d.iterrows():
+            grp = [bytes(z) for z in pdf.loc[pdf["rank"] // 5 * 5 == row["leaf_id"], "zkey"]]
+            assert bytes(row["min_zkey"]) == min(grp)
+            assert bytes(row["max_zkey"]) == max(grp)
+        mins, maxs = [bytes(z) for z in d["min_zkey"]], [bytes(z) for z in d["max_zkey"]]
+        assert mins == sorted(mins)
+        assert all(hi < lo for hi, lo in zip(maxs, mins[1:]))
         out.unpersist()

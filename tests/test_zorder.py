@@ -5,32 +5,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.sax import reduce_word, sax
-from repro.core.zorder import (
-    deinterleave,
-    interleave,
-    key_to_int,
-    key_width_hex,
-    prefix_key,
-    zkeys,
-)
+from repro.core.zorder import deinterleave, first64, interleave, prefix_key, zkeys
+
+
+def key_to_int(zkey: bytes) -> int:
+    """A z-key as an int, padding bits included."""
+    return int.from_bytes(zkey, "big")
 
 
 class TestInterleave:
     def test_known_small_example(self):
         """w=2, bits=2: symbols (0b10, 0b01) -> bits 1,0 (level 1), 0,1
         (level 0) -> 0b1001 -> padded byte 0b10010000 = 0x90."""
-        assert interleave(np.array([[0b10, 0b01]]), 2) == ["90"]
+        assert interleave(np.array([[0b10, 0b01]]), 2) == [b"\x90"]
 
     def test_zero_symbols(self):
-        assert interleave(np.array([[0, 0, 0]]), 2) == ["00"]
+        assert interleave(np.array([[0, 0, 0]]), 2) == [b"\x00"]
 
     def test_all_ones(self):
         """w=4, bits=2: all symbols 0b11 -> all 8 bits set -> 0xff."""
-        assert interleave(np.array([[3, 3, 3, 3]]), 2) == ["ff"]
+        assert interleave(np.array([[3, 3, 3, 3]]), 2) == [b"\xff"]
 
     def test_key_width(self):
         keys = interleave(np.array([[1, 2, 3, 4]]), 8)
-        assert len(keys[0]) == key_width_hex(4, 8) == 8
+        assert len(keys[0]) == 4  # 4 segments x 8 bits
+
+    @pytest.mark.parametrize("w, bits", [(3, 3), (9, 1), (16, 8)])
+    def test_roundtrip_partial_and_wide_keys(self, w, bits):
+        """w*bits = 9 leaves 7 padding bits in a 2-byte key; w*bits = 128
+        is wider than the 64 bits the trie splits on."""
+        g = np.random.default_rng(w * bits)
+        syms = g.integers(0, 1 << bits, (40, w)).astype(np.uint32)
+        keys = interleave(syms, bits)
+        assert all(len(k) == (w * bits + 7) // 8 for k in keys)
+        assert np.array_equal(deinterleave(keys, w, bits), syms)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -43,9 +51,7 @@ class TestInterleave:
     @settings(max_examples=60, deadline=None)
     def test_roundtrip(self, a, b):
         syms = np.array([a, b], dtype=np.uint32)
-        keys = interleave(syms, 8)
-        for i in range(2):
-            assert np.array_equal(deinterleave(keys[i], 8, 8), syms[i])
+        assert np.array_equal(deinterleave(interleave(syms, 8), 8, 8), syms)
 
     @given(st.integers(0, 7), st.integers(0, 14))
     @settings(max_examples=40, deadline=None)
@@ -77,6 +83,23 @@ class TestInterleave:
         assert by_str == by_int
 
 
+class TestFirst64:
+    @pytest.mark.parametrize("w, bits", [(3, 3), (8, 4), (16, 8)])
+    def test_top_64_bits(self, w, bits):
+        """The first 64 key bits, tail-padded with zeros for keys shorter
+        than 8 bytes and truncated for longer ones."""
+        g = np.random.default_rng(4)
+        keys = interleave(g.integers(0, 1 << bits, (30, w)), bits)
+        shift = 8 * len(keys[0]) - 64
+        expected = [
+            key_to_int(z) >> shift if shift >= 0 else key_to_int(z) << -shift
+            for z in keys
+        ]
+        got = first64(keys)
+        assert got.dtype == np.uint64
+        assert [int(x) for x in got] == expected
+
+
 class TestPrefixKey:
     def test_prefix_is_reduced_isax_word(self):
         """The first k*w interleaved bits are the interleaving of the
@@ -88,8 +111,8 @@ class TestPrefixKey:
         for k in range(bits + 1):
             red = reduce_word(syms, bits, k)
             red_keys_int = [
-                key_to_int(x) >> (4 * len(x) - k * w)
-                for x in (interleave(red, k) if k else ["00"] * 10)
+                key_to_int(x) >> (8 * len(x) - k * w)
+                for x in (interleave(red, k) if k else [b"\x00"] * 10)
             ] if k else [0] * 10
             for i in range(10):
                 assert prefix_key(keys[i], w, bits, k) == red_keys_int[i]
@@ -109,11 +132,11 @@ class TestPrefixKey:
                 assert same_word == same_prefix
 
     def test_k_zero_is_zero(self):
-        assert prefix_key("abcd", 4, 4, 0) == 0
+        assert prefix_key(b"\xab\xcd", 4, 4, 0) == 0
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
-            prefix_key("abcd", 4, 4, 5)
+            prefix_key(b"\xab\xcd", 4, 4, 5)
 
 
 class TestSortingSimilarity:
@@ -133,14 +156,14 @@ class TestSortingSimilarity:
     def test_zkeys_from_raw_series(self, walk_mat):
         keys = zkeys(walk_mat[:10], 8, 4)
         assert len(keys) == 10
-        assert all(len(k) == key_width_hex(8, 4) for k in keys)
+        assert all(len(k) == 4 for k in keys)  # 8 segments x 4 bits
 
     def test_sorted_neighbors_share_prefixes(self, walk_mat):
         """On average, z-order neighbors share longer interleaved-bit
         prefixes than random pairs — the locality the index exploits."""
         keys = sorted(zkeys(walk_mat, 8, 4))
         ints = [key_to_int(k) for k in keys]
-        total_bits = 4 * len(keys[0])
+        total_bits = 8 * len(keys[0])
 
         def shared(a, b):
             return total_bits - (a ^ b).bit_length() if a != b else total_bits
@@ -169,4 +192,4 @@ class TestZkeysSpark:
     def test_sax_column_matches(self, spark, walk_df, walk_mat):
         got = self._summaries(walk_df)
         expected = sax(walk_mat, 8, 4)
-        assert np.array_equal(np.stack(got["sax"].to_numpy()), expected)
+        assert np.array_equal(deinterleave(got["zkey"], 8, 4), expected)
