@@ -3,14 +3,14 @@
 Both variants produce the same on-disk shape, which is what makes their
 comparison (paper §4.2 vs §4.3) clean:
 
-- ``<path>/leaves``  — Parquet, partitioned by ``leaf_id``, rows sorted
-  by z-key: the contiguous leaf level ("columnar index structure").
-  Each record is the paper's leaf entry: the invSAX key ``zkey`` (a
-  fixed-width ``binary`` value; the SAX word is decoded from it) and the
-  series ``id`` in place of a file offset, plus its ``rank`` in file
-  order.  Materialized leaves also hold the series.  A leaf is a
-  contiguous run of ranks, so its ``leaf_id`` is the rank of its first
-  record.
+- ``<path>/leaves``  — one Parquet file whose part files, in name
+  order, hold ranks 0..N-1 (z-key order): the contiguous leaf level
+  ("columnar index structure").  Each record is the paper's leaf entry:
+  the invSAX key ``zkey`` (a fixed-width ``binary`` value; the SAX word
+  is decoded from it) and the series ``id`` in place of a file offset,
+  plus its ``rank`` and ``leaf_id``.  Materialized leaves also hold the
+  series.  A leaf is a contiguous run of ranks, so its ``leaf_id`` is
+  the rank of its first record.
 - ``<path>/raw``     — Parquet (id, series): stands in for the paper's
   raw series file; only written for non-materialized (secondary)
   indexes, whose leaves hold ids ("offsets") instead of series.
@@ -20,10 +20,10 @@ comparison (paper §4.2 vs §4.3) clean:
   arrays, row ``i`` holding rank ``i``): the paper's "in-memory
   summarizations" used by the SIMS exact search, decoded from the
   leaves' keys on first use.  A record's leaf is found from its rank
-  with :meth:`CoconutIndex.leaf_of`.
+  with :func:`leaf_of`.
 
-Spark writes the files; queries read them back with ``pyarrow.parquet``
-one part file at a time, so answering a query starts no Spark job.
+Spark writes the files; the directory and queries read them back with
+``pyarrow.parquet``, so neither starts a Spark job.
 
 They differ only in where a leaf starts (every ``leaf_capacity``-th
 rank vs a prefix boundary) and in construction cost accounting.
@@ -37,8 +37,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
 
 from repro.core.zorder import deinterleave
 from repro.storage.disk_model import DiskConfig, DiskModel
@@ -64,6 +63,12 @@ def _read_part(path: str, columns: list[str] | None) -> pa.Table:
         return pf.read(columns=columns, use_threads=False)
 
 
+def leaf_of(starts: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Leaf id of each record rank, given the ascending leaf ids (first
+    ranks): the last leaf starting at or before it."""
+    return starts[np.searchsorted(starts, ranks, side="right") - 1]
+
+
 @dataclass
 class Summaries:
     """The SAX word and id of all N records; row ``i`` is the record of
@@ -77,7 +82,6 @@ class Summaries:
 class CoconutIndex:
     """A built Coconut index plus everything a query needs to run."""
 
-    spark: SparkSession
     path: str
     w: int
     bits: int
@@ -86,6 +90,7 @@ class CoconutIndex:
     materialized: bool
     n_series: int
     directory: pd.DataFrame      # leaf_id,min_zkey,max_zkey,count by leaf_id
+    row_groups: list[tuple[str, int, int, int]]  # file,index,first rank,rows
     build_disk: DiskModel        # construction I/O accounting
     disk_config: DiskConfig
     build_wall_s: float
@@ -121,30 +126,26 @@ class CoconutIndex:
         return max(1, -(-count // per_block))
 
     # -- leaf access -------------------------------------------------------
-    def leaf_of(self, ranks: np.ndarray) -> np.ndarray:
-        """Leaf id of each record rank: the last leaf starting at or
-        before it."""
-        starts = self.directory["leaf_id"].to_numpy()
-        return starts[np.searchsorted(starts, ranks, side="right") - 1]
-
-    def _leaf_dir(self, leaf_id: int) -> str:
-        return f"{self.path}/leaves/leaf_id={int(leaf_id)}"
-
     def read_leaves(
         self, leaf_ids: list[int], columns: list[str] | None = None
     ) -> pd.DataFrame:
-        """Contents of the given leaves, read straight from their
-        ``leaf_id=k`` directories (``columns``: data columns to read,
-        default all); a ``leaf_id`` column is always appended."""
-        if not leaf_ids:
-            return pd.DataFrame(columns=[*(columns or SUMMARY_COLS[:-1]), "leaf_id"])
+        """Records of the given leaves in rank order: the row groups that
+        overlap their ranks are read and the leaves sliced out
+        (``columns``: default all; ``leaf_id`` is always read)."""
+        if columns is not None and "leaf_id" not in columns:
+            columns = [*columns, "leaf_id"]
+        if not len(leaf_ids):
+            return pd.DataFrame(columns=columns or SUMMARY_COLS)
+        lo = np.unique(np.asarray(leaf_ids, dtype=np.int64))
+        starts = self.directory["leaf_id"].to_numpy()
+        hi = lo + self.directory["count"].to_numpy()[np.searchsorted(starts, lo)]
         parts = []
-        for lid in leaf_ids:
-            for f in _part_files(self._leaf_dir(lid)):
-                t = _read_part(f, columns)
-                parts.append(
-                    t.append_column("leaf_id", pa.array(np.full(len(t), lid, np.int64)))
-                )
+        for f, i, first, rows in self.row_groups:
+            a, b = np.maximum(lo, first), np.minimum(hi, first + rows)
+            if (a < b).any():
+                with pq.ParquetFile(f) as pf:
+                    t = pf.read_row_group(i, columns=columns, use_threads=False)
+                parts += [t.slice(x - first, y - x) for x, y in zip(a, b) if x < y]
         return pa.concat_tables(parts).to_pandas(use_threads=False)
 
     def fetch_raw(self, ids: list[int]) -> pd.DataFrame:
@@ -167,37 +168,44 @@ class CoconutIndex:
         return pa.concat_tables(parts).to_pandas(use_threads=False)
 
     def load_summaries(self) -> Summaries:
-        """Read every leaf's (id, zkey) and decode the SAX words, each
-        record at its rank."""
-        ids, ranks, keys = [], [], []
-        for lid in self.directory["leaf_id"]:
-            for f in _part_files(self._leaf_dir(lid)):
-                t = _read_part(f, ["id", "rank", "zkey"])
-                ids.append(t.column("id").to_numpy())
-                ranks.append(t.column("rank").to_numpy())
-                keys.extend(t.column("zkey").to_pylist())
-        order = np.argsort(np.concatenate(ranks))
-        sax = deinterleave(keys, self.w, self.bits)
-        return Summaries(sax=sax[order], id=np.concatenate(ids)[order])
+        """Read the leaf file's (id, rank, zkey) in one pass and decode the
+        SAX words.  Queries rely on the part files, in name order, holding
+        ranks 0..N-1: files that do not are an error."""
+        files = _part_files(f"{self.path}/leaves")
+        t = pa.concat_tables([_read_part(f, ["id", "rank", "zkey"]) for f in files])
+        if not np.array_equal(t.column("rank").to_numpy(), np.arange(self.n_series)):
+            raise ValueError(f"{self.path}/leaves does not hold ranks 0..N-1 in file order")
+        sax = deinterleave(t.column("zkey").to_pylist(), self.w, self.bits)
+        return Summaries(sax=sax, id=t.column("id").to_numpy())
 
     def close(self) -> None:
         """Release the resident summaries."""
         self.summaries = None
 
 
-def directory_from_summaries(summaries: DataFrame) -> pd.DataFrame:
-    """Aggregate the leaf directory: per-leaf z-key range and count, in
-    file order (by ``leaf_id``, the leaf's first rank)."""
-    pdf = (
-        summaries.groupBy("leaf_id")
-        .agg(
-            F.min("zkey").alias("min_zkey"),
-            F.max("zkey").alias("max_zkey"),
-            F.count("*").alias("count"),
-        )
-        .toPandas()
-    )
-    return pdf.sort_values("leaf_id").reset_index(drop=True)
+def directory_from_summaries(leaves: str) -> tuple[pd.DataFrame, list]:
+    """The leaf directory and row groups (file, index, first rank, rows)
+    of the leaf file ``leaves``, from one driver-side read of its
+    ``leaf_id, zkey`` columns.  The part files hold ranks 0..N-1 in name
+    order, so a leaf is a run of equal ``leaf_id`` from its min to its max
+    z-key, and a row group's first rank is the number of rows before it."""
+    tables, row_groups, n = [], [], 0
+    for f in _part_files(leaves):
+        with pq.ParquetFile(f) as pf:
+            tables.append(pf.read(columns=["leaf_id", "zkey"], use_threads=False))
+            for i in range(pf.num_row_groups):
+                rows = pf.metadata.row_group(i).num_rows
+                row_groups.append((f, i, n, rows))
+                n += rows
+    t = pa.concat_tables(tables)
+    lid, zkey = t.column("leaf_id").to_numpy(), t.column("zkey")
+    first = np.flatnonzero(np.diff(lid, prepend=-1))
+    last = np.append(first[1:], n) - 1
+    directory = pd.DataFrame({
+        "leaf_id": lid[first], "min_zkey": zkey.take(first).to_pylist(),
+        "max_zkey": zkey.take(last).to_pylist(), "count": last - first + 1,
+    })
+    return directory, row_groups
 
 
 def write_index_files(
@@ -208,13 +216,12 @@ def write_index_files(
     materialized: bool,
 ) -> None:
     """Write the leaf level (and the stand-in raw file for secondary
-    indexes) to the local filesystem."""
+    indexes) to the local filesystem.  ``summaries`` is range-partitioned
+    by rank, so its part files, in name order, hold ranks 0..N-1."""
     cols = list(SUMMARY_COLS)
     if materialized:
         cols.append("series")
-    summaries.select(*cols).write.mode("overwrite").partitionBy("leaf_id").parquet(
-        f"{path}/leaves"
-    )
+    summaries.select(*cols).write.mode("overwrite").parquet(f"{path}/leaves")
     if not materialized:
         if raw_df is None:
             raise ValueError("secondary index requires the raw series DataFrame")

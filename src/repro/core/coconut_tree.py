@@ -11,8 +11,9 @@ Pipeline (the paper's lines map directly onto Spark stages):
    leaf at every ``leaf_capacity``-th rank, and names it by that first
    rank (``leaf_id = rank - rank % leaf_capacity``) — every leaf (except
    the last) is exactly full, the tree over the leaf ranges is balanced
-   by construction.  Leaves are written as z-key-sorted Parquet partitions,
-   and the directory (internal levels) is aggregated per leaf.
+   by construction.  The leaves are written as one rank-ordered Parquet
+   file, and the directory (internal levels) is read back from it on the
+   driver.
 
 ``materialized=True`` is Coconut-Tree-Full (series stored in the
 leaves); otherwise the leaves hold ids and a stand-in raw file is
@@ -128,13 +129,12 @@ def build_coconut_tree(
     write_index_files(
         with_leaf, None if materialized else series_df, path, materialized=materialized
     )
-    directory = directory_from_summaries(with_leaf)
     ranked.unpersist()
+    directory, row_groups = directory_from_summaries(f"{path}/leaves")
     n = int(directory["count"].sum())
     charge_tree_build(disk, n, materialized=materialized)
 
     return CoconutIndex(
-        spark=spark,
         path=path,
         w=w,
         bits=bits,
@@ -143,6 +143,7 @@ def build_coconut_tree(
         materialized=materialized,
         n_series=n,
         directory=directory,
+        row_groups=row_groups,
         build_disk=disk,
         disk_config=cfg,
         build_wall_s=time.perf_counter() - t0,
@@ -159,7 +160,7 @@ def merge_batch(
     index + new run.  Contrast with ADS top-down inserts, which pay a
     random I/O per touched leaf.
     """
-    spark = index.spark
+    spark = batch_df.sparkSession
     new_path = path or f"{index.path}__merged"
     # Existing series: reconstruct the raw input (ids + series) from the
     # index files, union with the batch, rebuild via the same bulk path.

@@ -28,6 +28,7 @@ from pyspark.sql.functions import pandas_udf
 from repro.core.coconut_common import (
     CoconutIndex,
     directory_from_summaries,
+    leaf_of,
     write_index_files,
 )
 from repro.core.coconut_tree import _series_length, summarize_series
@@ -135,47 +136,37 @@ def build_coconut_trie(
     def root_of(zkey: pd.Series) -> pd.Series:
         return pd.Series(first64(zkey) >> np.uint64(64 - start_depth), dtype=np.int64)
 
-    # One split task per core: the persisted split runs without adaptive
-    # partition coalescing, and one Python task per shuffle partition
-    # would cost more than the split itself.
-    rooted = ranked.withColumn("root", root_of(F.col("zkey"))).repartition(
-        spark.sparkContext.defaultParallelism, "root"
-    )
-    # Fresh StructType: StructType.add mutates the cached schema in place.
-    from pyspark.sql.types import LongType, StructField, StructType
-
-    out_schema = StructType(ranked.schema.fields + [StructField("leaf_id", LongType())])
+    # One split task per core, whatever the shuffle partition count.
+    rooted = ranked.select("rank", "zkey").withColumn("root", root_of(F.col("zkey")))
+    rooted = rooted.repartition(spark.sparkContext.defaultParallelism, "root")
 
     def split_subtree(pdf: pd.DataFrame) -> pd.DataFrame:
-        """Prefix leaves of one root subtree, each named by its first rank."""
-        pdf = pdf.sort_values("rank").drop(columns=["root"]).reset_index(drop=True)
-        keys64 = first64(pdf["zkey"])
+        """First rank of each prefix leaf of one root subtree."""
+        pdf = pdf.sort_values("rank")
         labels = assign_prefix_leaves(
-            keys64, start_depth=start_depth, capacity=capacity,
+            first64(pdf["zkey"]), start_depth=start_depth, capacity=capacity,
             max_depth=min(w * bits, MAX_DEPTH),
         )
-        # Each row takes the rank of the latest run start: ranks rise, so a
-        # running max over (rank at a run start, else 0) carries it down.
-        starts = [i == 0 or labels[i] != labels[i - 1] for i in range(len(labels))]
-        pdf["leaf_id"] = np.maximum.accumulate(np.where(starts, pdf["rank"], 0))
-        return pdf
+        is_start = [i == 0 or labels[i] != labels[i - 1] for i in range(len(labels))]
+        return pd.DataFrame({"leaf_id": pdf["rank"].to_numpy()[is_start]})
 
-    # Persisted: the leaf write and the directory both read the split.
-    with_leaf = (
-        rooted.groupBy("root").applyInPandas(split_subtree, schema=out_schema).persist()
-    )
+    split = rooted.groupBy("root").applyInPandas(split_subtree, schema="leaf_id long")
+    starts = np.sort(split.toPandas()["leaf_id"].to_numpy())
+
+    @pandas_udf("long")
+    def leaf_id_of(rank: pd.Series) -> pd.Series:
+        return pd.Series(leaf_of(starts, rank.to_numpy()))
 
     write_index_files(
-        with_leaf, None if materialized else series_df, path, materialized=materialized
+        ranked.withColumn("leaf_id", leaf_id_of(F.col("rank"))),
+        None if materialized else series_df, path, materialized=materialized,
     )
-    directory = directory_from_summaries(with_leaf)
-    with_leaf.unpersist()
     ranked.unpersist()
+    directory, row_groups = directory_from_summaries(f"{path}/leaves")
     n = int(directory["count"].sum())
     charge_trie_build(disk, n, len(directory), capacity, materialized=materialized)
 
     return CoconutIndex(
-        spark=spark,
         path=path,
         w=w,
         bits=bits,
@@ -184,6 +175,7 @@ def build_coconut_trie(
         materialized=materialized,
         n_series=n,
         directory=directory,
+        row_groups=row_groups,
         build_disk=disk,
         disk_config=cfg,
         build_wall_s=time.perf_counter() - t0,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
-from repro.core.coconut_common import CoconutIndex, Summaries
+from repro.core.coconut_common import CoconutIndex, Summaries, leaf_of
 from repro.core.distance import euclidean
 from repro.core.mindist import mindist_paa_sax
 from repro.core.paa import paa
@@ -114,15 +114,14 @@ def approximate_search(
     counts = [int(index.directory.iloc[p]["count"]) for p in window]
     # Contiguous leaves: one sequential run covering the window.
     disk.seq_read(sum(index.leaf_blocks(c) for c in counts))
-    cols = ["id", "series"] if index.materialized else ["id", "zkey", "rank"]
+    cols = ["id", "series"] if index.materialized else ["id", "zkey"]
     leaf_pdf = index.read_leaves(leaf_ids, columns=cols)
     if not index.materialized:
         # Secondary index: the paper retrieves "all data series in a
         # specific radius from this point ... usually a disk page" — a
         # page of raw records around the query's sorted position per
         # radius step, not every offset in the (densely packed) leaves.
-        # Rank order is z-key order with ties broken by id.
-        leaf_pdf = leaf_pdf.sort_values("rank").reset_index(drop=True)
+        # The leaves come in rank order: z-key order, ties broken by id.
         pos = int(leaf_pdf["zkey"].searchsorted(qz))
         half = max(1, index.disk_config.block_series * radius // 2)
         lo = max(0, min(pos - half, len(leaf_pdf) - 2 * half))
@@ -155,7 +154,7 @@ def _candidate_series(index: CoconutIndex, ids: np.ndarray, ranks: np.ndarray) -
     same order: from their leaves when materialized, else from the raw
     file."""
     if index.materialized:
-        leaf_ids = np.unique(index.leaf_of(ranks)).tolist()
+        leaf_ids = np.unique(leaf_of(index.directory["leaf_id"].to_numpy(), ranks)).tolist()
         pdf = index.read_leaves(leaf_ids, columns=["id", "series"])
     else:
         pdf = index.fetch_raw(ids.tolist())

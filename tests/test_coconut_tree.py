@@ -2,7 +2,6 @@
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.zorder import zkeys
 from repro.oracle import assert_equivalent
@@ -47,18 +46,22 @@ class TestStructure:
         pdf = leaves.select("rank", "zkey").toPandas().sort_values("rank")
         assert list(pdf["zkey"]) == sorted(pdf["zkey"])
 
-    def test_directory_against_oracle(self, spark, ctree):
-        """Leaf directory aggregates equal a DuckDB GROUP BY (key ranges
-        compared as hex: collected binary values are unhashable)."""
-        leaves = spark.read.parquet(f"{ctree.path}/leaves")
-        got = leaves.groupBy("leaf_id").agg(
-            F.hex(F.min("zkey")).alias("min_zkey"),
-            F.hex(F.max("zkey")).alias("max_zkey"),
-            F.count("*").alias("cnt"),
-        )
-        pdf = leaves.select("leaf_id", "zkey").toPandas()
+    @pytest.mark.parametrize("name", ["ctree", "ctrie", "ctree_full"])
+    def test_directory_against_oracle(self, name, request, spark):
+        """The leaf directory equals a DuckDB GROUP BY over the leaf file
+        (key ranges compared as hex: collected binary values are
+        unhashable)."""
+        index = request.getfixturevalue(name)
+        d = index.directory
+        got = pd.DataFrame({
+            "leaf_id": d["leaf_id"],
+            "min_zkey": [bytes(z).hex().upper() for z in d["min_zkey"]],
+            "max_zkey": [bytes(z).hex().upper() for z in d["max_zkey"]],
+            "cnt": d["count"],
+        })
+        pdf = spark.read.parquet(f"{index.path}/leaves").select("leaf_id", "zkey").toPandas()
         assert_equivalent(
-            got,
+            spark.createDataFrame(got),
             "SELECT leaf_id, hex(min(zkey)) AS min_zkey, hex(max(zkey)) AS max_zkey, "
             "count(*) AS cnt FROM s GROUP BY leaf_id",
             s=pdf,
@@ -112,11 +115,50 @@ class TestPersistedLayout:
         df = spark.read.parquet(f"{ctree_full.path}/leaves")
         assert "series" in df.columns
 
-    def test_read_leaves_partition_pruned(self, ctree):
+    def test_read_leaves_returns_only_that_leaf(self, ctree):
         lid = int(ctree.directory.iloc[0]["leaf_id"])
         pdf = ctree.read_leaves([lid])
         assert len(pdf) == int(ctree.directory.iloc[0]["count"])
         assert set(pdf["leaf_id"]) == {lid}
+        assert list(pdf["rank"]) == list(range(lid, lid + len(pdf)))
+
+    @pytest.mark.parametrize("name", ["ctree", "ctrie", "ctree_full"])
+    def test_leaf_level_is_one_rank_ordered_file(self, name, request):
+        """No per-leaf subdirectories: the part files, in name order, hold
+        ranks 0..N-1 ascending."""
+        import os
+
+        import pyarrow.parquet as pq
+
+        index = request.getfixturevalue(name)
+        leaves = f"{index.path}/leaves"
+        entries = sorted(os.listdir(leaves))
+        assert not any(e.startswith("leaf_id=") for e in entries)
+        parts = [e for e in entries if e.endswith(".parquet")]
+        assert all(os.path.isfile(f"{leaves}/{e}") for e in parts)
+        ranks = np.concatenate(
+            [pq.read_table(f"{leaves}/{e}", columns=["rank"])["rank"].to_numpy() for e in parts]
+        )
+        assert np.array_equal(ranks, np.arange(N_SERIES))
+
+    def test_load_summaries_rejects_out_of_order_files(self, ctree, tmp_path):
+        """Two part files swapped by name: the ranks read in name order are
+        not 0..N-1, so loading the summaries fails loudly."""
+        import dataclasses
+        import os
+        import shutil
+
+        leaves = tmp_path / "leaves"
+        shutil.copytree(f"{ctree.path}/leaves", leaves)
+        parts = sorted(p for p in os.listdir(leaves) if p.endswith(".parquet"))
+        assert len(parts) >= 2
+        a, b = leaves / parts[0], leaves / parts[-1]
+        a.rename(tmp_path / "swap")
+        b.rename(a)
+        (tmp_path / "swap").rename(b)
+        swapped = dataclasses.replace(ctree, path=str(tmp_path), summaries=None)
+        with pytest.raises(ValueError, match="ranks"):
+            swapped.load_summaries()
 
     def test_fetch_raw_by_id(self, ctree, walk_mat):
         pdf = ctree.fetch_raw([0, 5, 7])

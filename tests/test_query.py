@@ -201,6 +201,20 @@ class TestNoSparkJobs:
 
         assert self._jobs_under_group(spark, f"no-jobs-{fixture}", search) == []
 
+    @pytest.mark.parametrize("fixture", ["ctree", "ctrie"])
+    def test_directory_starts_no_spark_job(self, fixture, request, spark):
+        """The leaf directory is read from the leaf file on the driver."""
+        from repro.core.coconut_common import directory_from_summaries
+
+        idx = request.getfixturevalue(fixture)
+        got = []
+        jobs = self._jobs_under_group(
+            spark, f"no-jobs-dir-{fixture}",
+            lambda: got.append(directory_from_summaries(f"{idx.path}/leaves")),
+        )
+        assert jobs == []
+        pd.testing.assert_frame_equal(got[0][0], idx.directory)
+
 
 class TestRadius:
     @pytest.mark.parametrize("search", [approximate_search, exact_search])

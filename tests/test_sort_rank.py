@@ -120,12 +120,13 @@ class TestBinaryKeys:
         assert got[0][0] == 0x00 and got[-1][0] == 0xFF
         out.unpersist()
 
-    def test_directory_ranges_follow_unsigned_order(self, spark):
+    def test_directory_ranges_follow_unsigned_order(self, spark, tmp_path):
         from repro.core.coconut_common import directory_from_summaries
 
         out = self._ranked(spark)
         with_leaf = out.withColumn("leaf_id", F.col("rank") - F.col("rank") % 5)
-        d = directory_from_summaries(with_leaf)
+        with_leaf.write.parquet(str(tmp_path / "leaves"))
+        d, _ = directory_from_summaries(str(tmp_path / "leaves"))
         pdf = out.toPandas()
         for _, row in d.iterrows():
             grp = [bytes(z) for z in pdf.loc[pdf["rank"] // 5 * 5 == row["leaf_id"], "zkey"]]
