@@ -5,7 +5,8 @@ Pipeline (the paper's lines map directly onto Spark stages):
 1. lines 2–8   — one scan of the raw series computing (invSAX, position):
    ``mapInPandas`` summarization pass.
 2. lines 9–12  — external sort by invSAX: ``repartitionByRange`` +
-   ``sortWithinPartitions`` + global rank (``repro.core.sort_rank``).
+   ``sortWithinPartitions``, persisted (``repro.core.sort_rank``); the
+   global rank is read off the sorted partitions as the leaves stream out.
 3. line 13     — UB-tree-style bulk load on the sorted stream: with the
    data sorted, median-based splitting of a leaf level simply starts a
    leaf at every ``leaf_capacity``-th rank, and names it by that first
@@ -123,13 +124,14 @@ def build_coconut_tree(
     length = _series_length(series_df, w)
 
     summaries = summarize_series(series_df, w, bits, keep_series=materialized)
-    ranked = global_sort_with_rank(summaries, "zkey")
-    with_leaf = ranked.withColumn("leaf_id", F.col("rank") - F.col("rank") % leaf_capacity)
-
-    write_index_files(
-        with_leaf, None if materialized else series_df, path, materialized=materialized
-    )
-    ranked.unpersist()
+    ranked, release = global_sort_with_rank(summaries, "zkey")
+    try:
+        write_index_files(
+            ranked.withColumn("leaf_id", F.col("rank") - F.col("rank") % leaf_capacity),
+            None if materialized else series_df, path, materialized=materialized,
+        )
+    finally:
+        release()
     directory, row_groups = directory_from_summaries(f"{path}/leaves")
     n = int(directory["count"].sum())
     charge_tree_build(disk, n, materialized=materialized)

@@ -77,6 +77,35 @@ def assign_prefix_leaves(
     return labels
 
 
+def prefix_leaf_starts(
+    ranked: DataFrame, *, start_depth: int, capacity: int, max_depth: int
+) -> np.ndarray:
+    """First rank of every prefix leaf of the z-key-sorted, ranked frame,
+    ascending: :func:`assign_prefix_leaves` runs on each first-level
+    subtree (``start_depth`` leading key bits) in one distributed pass."""
+
+    @pandas_udf("long")
+    def root_of(zkey: pd.Series) -> pd.Series:
+        return pd.Series(first64(zkey) >> np.uint64(64 - start_depth), dtype=np.int64)
+
+    # One split task per core, whatever the shuffle partition count.
+    rooted = ranked.select("rank", "zkey").withColumn("root", root_of(F.col("zkey")))
+    rooted = rooted.repartition(ranked.sparkSession.sparkContext.defaultParallelism, "root")
+
+    def split_subtree(pdf: pd.DataFrame) -> pd.DataFrame:
+        """First rank of each prefix leaf of one root subtree."""
+        pdf = pdf.sort_values("rank")
+        labels = assign_prefix_leaves(
+            first64(pdf["zkey"]), start_depth=start_depth, capacity=capacity,
+            max_depth=max_depth,
+        )
+        is_start = [i == 0 or labels[i] != labels[i - 1] for i in range(len(labels))]
+        return pd.DataFrame({"leaf_id": pdf["rank"].to_numpy()[is_start]})
+
+    split = rooted.groupBy("root").applyInPandas(split_subtree, schema="leaf_id long")
+    return np.sort(split.toPandas()["leaf_id"].to_numpy())
+
+
 def charge_trie_build(disk: DiskModel, n: int, n_leaves: int, leaf_capacity: int, *, materialized: bool) -> None:
     """Disk-access-model cost of Algorithm 2.
 
@@ -130,38 +159,22 @@ def build_coconut_trie(
     start_depth = w  # first trie level: 1 bit from each of the w segments
 
     summaries = summarize_series(series_df, w, bits, keep_series=materialized)
-    ranked = global_sort_with_rank(summaries, "zkey")
-
-    @pandas_udf("long")
-    def root_of(zkey: pd.Series) -> pd.Series:
-        return pd.Series(first64(zkey) >> np.uint64(64 - start_depth), dtype=np.int64)
-
-    # One split task per core, whatever the shuffle partition count.
-    rooted = ranked.select("rank", "zkey").withColumn("root", root_of(F.col("zkey")))
-    rooted = rooted.repartition(spark.sparkContext.defaultParallelism, "root")
-
-    def split_subtree(pdf: pd.DataFrame) -> pd.DataFrame:
-        """First rank of each prefix leaf of one root subtree."""
-        pdf = pdf.sort_values("rank")
-        labels = assign_prefix_leaves(
-            first64(pdf["zkey"]), start_depth=start_depth, capacity=capacity,
-            max_depth=min(w * bits, MAX_DEPTH),
+    ranked, release = global_sort_with_rank(summaries, "zkey")
+    try:
+        starts = prefix_leaf_starts(
+            ranked, start_depth=start_depth, capacity=capacity, max_depth=min(w * bits, MAX_DEPTH)
         )
-        is_start = [i == 0 or labels[i] != labels[i - 1] for i in range(len(labels))]
-        return pd.DataFrame({"leaf_id": pdf["rank"].to_numpy()[is_start]})
 
-    split = rooted.groupBy("root").applyInPandas(split_subtree, schema="leaf_id long")
-    starts = np.sort(split.toPandas()["leaf_id"].to_numpy())
+        @pandas_udf("long")
+        def leaf_id_of(rank: pd.Series) -> pd.Series:
+            return pd.Series(leaf_of(starts, rank.to_numpy()))
 
-    @pandas_udf("long")
-    def leaf_id_of(rank: pd.Series) -> pd.Series:
-        return pd.Series(leaf_of(starts, rank.to_numpy()))
-
-    write_index_files(
-        ranked.withColumn("leaf_id", leaf_id_of(F.col("rank"))),
-        None if materialized else series_df, path, materialized=materialized,
-    )
-    ranked.unpersist()
+        write_index_files(
+            ranked.withColumn("leaf_id", leaf_id_of(F.col("rank"))),
+            None if materialized else series_df, path, materialized=materialized,
+        )
+    finally:
+        release()
     directory, row_groups = directory_from_summaries(f"{path}/leaves")
     n = int(directory["count"].sum())
     charge_trie_build(disk, n, len(directory), capacity, materialized=materialized)

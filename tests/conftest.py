@@ -20,6 +20,26 @@ N_SERIES = 400
 LENGTH = 64
 W, BITS = 8, 4
 CAPACITY = 50
+JOB_GROUP = "spark.jobGroup.id"
+
+
+def jobs_under_group(spark, group: str, fn) -> list[int]:
+    """Ids of the Spark jobs ``fn()`` starts, run under job group ``group``."""
+    sc = spark.sparkContext
+    sc.setLocalProperty(JOB_GROUP, group)
+    try:
+        fn()
+    finally:
+        sc.setLocalProperty(JOB_GROUP, None)
+    # Job-start events reach the status tracker through the
+    # asynchronous listener bus.
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return list(sc.statusTracker().getJobIdsForGroup(group))
+
+
+def persisted_rdds(spark) -> int:
+    """Number of RDDs the Spark context holds persisted (cached)."""
+    return spark.sparkContext._jsc.getPersistentRDDs().size()
 
 
 @pytest.fixture(scope="session")

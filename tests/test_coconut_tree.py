@@ -74,7 +74,7 @@ class TestStructure:
 
 
 class TestPersistedLayout:
-    def test_leaves_parquet_partitioned(self, ctree, spark):
+    def test_leaf_file_holds_every_series(self, ctree, spark):
         df = spark.read.parquet(f"{ctree.path}/leaves")
         assert df.count() == N_SERIES
         assert "leaf_id" in df.columns

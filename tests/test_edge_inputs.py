@@ -1,5 +1,6 @@
 """Edge inputs for both Coconut builders: duplicate z-keys across leaf
-boundaries, a constant series and an all-NaN series.
+boundaries, a constant series and an all-NaN series; and collections of
+fewer series than the sort has range partitions.
 
 The collection is 300 random walks, ``3 * CAP + 1`` copies of one
 constant, un-normalised series (one z-key, so the run spans at least
@@ -7,15 +8,18 @@ three tree leaves and cannot be split by the trie) and one all-NaN
 series.  The NaN series gets the top symbol in every segment; it is
 indexed but, at distance NaN, never returned as an answer.
 """
+import os
+
 import numpy as np
 import pandas as pd
+import pyarrow.parquet as pq
 import pytest
 
 from repro.baselines.brute_force import exact_nn_numpy
 from repro.core.coconut_tree import build_coconut_tree
 from repro.core.coconut_trie import build_coconut_trie
 from repro.core.query import exact_search
-from repro.core.zorder import zkeys
+from repro.core.zorder import first64, zkeys
 from repro.synth_data import series_matrix
 from tests.conftest import LENGTH
 
@@ -109,3 +113,39 @@ def test_constant_series_found_at_distance_zero(edge_index):
     r = exact_search(edge_index, CONSTANT)
     assert r.distance == 0.0
     assert N_WALKS <= r.id < N_WALKS + N_CONST
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("variant,mode", [
+    (v, m) for v in BUILDERS for m in ("secondary", "materialized")
+])
+def test_fewer_series_than_range_partitions(spark, tmp_path, queries, variant, mode, n):
+    """N below the leaf capacity, and below the sort's range partition
+    count, so some partitions are empty or absent: ranks are still
+    0..N-1 in file order.  The tree holds them in one leaf at rank 0;
+    the trie starts a leaf at rank 0 and wherever the first-level
+    subtree (the first ``w`` key bits) changes."""
+    mat = series_matrix(n_series=n, length=LENGTH, kind="walk", seed=7)
+    df = spark.createDataFrame(
+        pd.DataFrame({"id": np.arange(n), "series": list(mat)}),
+        "id long, series array<double>",
+    )
+    idx = BUILDERS[variant](
+        spark, df, path=str(tmp_path / "idx"), w=8, bits=4, leaf_capacity=CAP,
+        materialized=mode == "materialized",
+    )
+    leaves = f"{idx.path}/leaves"
+    parts = sorted(f for f in os.listdir(leaves) if f.endswith(".parquet"))
+    ranks = np.concatenate([pq.read_table(f"{leaves}/{f}", columns=["rank"])["rank"] for f in parts])
+    assert list(ranks) == list(range(n))
+    if variant == "tree":
+        starts = [0]
+    else:
+        roots = first64(sorted(zkeys(mat, 8, 4))) >> np.uint64(64 - 8)
+        starts = [0, *np.flatnonzero(np.diff(roots)) + 1]
+    assert list(idx.directory["leaf_id"]) == starts
+    assert idx.directory["count"].sum() == n
+    for q in queries:
+        _, gd = exact_nn_numpy(np.arange(n), mat, q)
+        assert exact_search(idx, q).distance == pytest.approx(gd)
+    idx.close()

@@ -13,6 +13,7 @@ from repro.core.query import (
 )
 from repro.oracle import assert_equivalent
 from repro.storage.disk_model import DiskModel
+from tests.conftest import jobs_under_group
 
 
 @pytest.fixture(scope="module")
@@ -171,23 +172,9 @@ class TestSimsScan:
 
 
 class TestNoSparkJobs:
-    JOB_GROUP = "spark.jobGroup.id"
-
-    def _jobs_under_group(self, spark, group: str, fn) -> list[int]:
-        sc = spark.sparkContext
-        sc.setLocalProperty(self.JOB_GROUP, group)
-        try:
-            fn()
-        finally:
-            sc.setLocalProperty(self.JOB_GROUP, None)
-        # Job-start events reach the status tracker through the
-        # asynchronous listener bus.
-        sc._jsc.sc().listenerBus().waitUntilEmpty()
-        return list(sc.statusTracker().getJobIdsForGroup(group))
-
     def test_group_counts_spark_jobs(self, spark):
         """Control: a Spark action under a job group is seen."""
-        assert self._jobs_under_group(spark, "no-jobs-control", spark.range(3).count)
+        assert jobs_under_group(spark, "no-jobs-control", spark.range(3).count)
 
     @pytest.mark.parametrize("fixture", ["ctree", "ctree_full", "ctrie", "ctrie_full"])
     def test_search_starts_no_spark_job(self, fixture, request, spark, queries):
@@ -199,7 +186,7 @@ class TestNoSparkJobs:
                 approximate_search(idx, q)
                 exact_search(idx, q)
 
-        assert self._jobs_under_group(spark, f"no-jobs-{fixture}", search) == []
+        assert jobs_under_group(spark, f"no-jobs-{fixture}", search) == []
 
     @pytest.mark.parametrize("fixture", ["ctree", "ctrie"])
     def test_directory_starts_no_spark_job(self, fixture, request, spark):
@@ -208,7 +195,7 @@ class TestNoSparkJobs:
 
         idx = request.getfixturevalue(fixture)
         got = []
-        jobs = self._jobs_under_group(
+        jobs = jobs_under_group(
             spark, f"no-jobs-dir-{fixture}",
             lambda: got.append(directory_from_summaries(f"{idx.path}/leaves")),
         )
