@@ -92,8 +92,7 @@ class RTreeIndex:
         if self.materialized:
             per_block, mem = c.block_series, c.memory_series
         else:
-            per_block = c.summaries_per_block
-            mem = max(1, c.memory_series * c.series_bytes // c.summary_bytes)
+            per_block, mem = c.summaries_per_block, c.memory_summaries
         for _ in range(self.w):
             # STR re-sorts the payload once per dimension level; each pass
             # streams the data out and back in even when partially cached.

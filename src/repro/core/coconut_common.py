@@ -8,14 +8,15 @@ comparison (paper §4.2 vs §4.3) clean:
   ("columnar index structure").  Each record is the paper's leaf entry:
   the invSAX key ``zkey`` (a fixed-width ``binary`` value; the SAX word
   is decoded from it) and the series ``id`` in place of a file offset,
-  plus its ``rank`` and ``leaf_id``.  Materialized leaves also hold the
-  series.  A leaf is a contiguous run of ranks, so its ``leaf_id`` is
-  the rank of its first record.
+  plus its ``rank``.  Materialized leaves also hold the series.  A leaf
+  is a contiguous run of ranks, named by its first rank (``leaf_id``);
+  leaf boundaries live only in the directory, not in the records.
 - ``<path>/raw``     — Parquet (id, series): stands in for the paper's
   raw series file; only written for non-materialized (secondary)
   indexes, whose leaves hold ids ("offsets") instead of series.
 - a driver-side *leaf directory* (leaf id, min/max z-key, count, in
-  file order): the in-memory internal levels of the tree/trie.
+  file order): the in-memory internal levels of the tree/trie, built
+  from the leaf file's keys and the builder's leaf starts.
 - driver-resident :class:`Summaries` (SAX words and ids as numpy
   arrays, row ``i`` holding rank ``i``): the paper's "in-memory
   summarizations" used by the SIMS exact search, decoded from the
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -42,7 +44,7 @@ from pyspark.sql import DataFrame
 from repro.core.zorder import deinterleave
 from repro.storage.disk_model import DiskConfig, DiskModel
 
-SUMMARY_COLS = ["id", "zkey", "rank", "leaf_id"]
+SUMMARY_COLS = ["id", "zkey", "rank"]
 
 
 def _part_files(directory: str) -> list[str]:
@@ -131,9 +133,7 @@ class CoconutIndex:
     ) -> pd.DataFrame:
         """Records of the given leaves in rank order: the row groups that
         overlap their ranks are read and the leaves sliced out
-        (``columns``: default all; ``leaf_id`` is always read)."""
-        if columns is not None and "leaf_id" not in columns:
-            columns = [*columns, "leaf_id"]
+        (``columns``: default all)."""
         if not len(leaf_ids):
             return pd.DataFrame(columns=columns or SUMMARY_COLS)
         lo = np.unique(np.asarray(leaf_ids, dtype=np.int64))
@@ -183,26 +183,28 @@ class CoconutIndex:
         self.summaries = None
 
 
-def directory_from_summaries(leaves: str) -> tuple[pd.DataFrame, list]:
+def directory_from_summaries(
+    leaves: str, leaf_starts: Callable[[pa.ChunkedArray], np.ndarray]
+) -> tuple[pd.DataFrame, list]:
     """The leaf directory and row groups (file, index, first rank, rows)
-    of the leaf file ``leaves``, from one driver-side read of its
-    ``leaf_id, zkey`` columns.  The part files hold ranks 0..N-1 in name
-    order, so a leaf is a run of equal ``leaf_id`` from its min to its max
-    z-key, and a row group's first rank is the number of rows before it."""
+    of the leaf file ``leaves``, from one driver-side read of its ``zkey``
+    column.  ``leaf_starts`` maps the keys, in rank order, to every leaf's
+    first rank, ascending; a leaf runs up to the next one's.  The part
+    files hold ranks 0..N-1 in name order, so a row group's first rank is
+    the number of rows before it."""
     tables, row_groups, n = [], [], 0
     for f in _part_files(leaves):
         with pq.ParquetFile(f) as pf:
-            tables.append(pf.read(columns=["leaf_id", "zkey"], use_threads=False))
+            tables.append(pf.read(columns=["zkey"], use_threads=False))
             for i in range(pf.num_row_groups):
                 rows = pf.metadata.row_group(i).num_rows
                 row_groups.append((f, i, n, rows))
                 n += rows
-    t = pa.concat_tables(tables)
-    lid, zkey = t.column("leaf_id").to_numpy(), t.column("zkey")
-    first = np.flatnonzero(np.diff(lid, prepend=-1))
+    zkey = pa.concat_tables(tables).column("zkey")
+    first = leaf_starts(zkey)
     last = np.append(first[1:], n) - 1
     directory = pd.DataFrame({
-        "leaf_id": lid[first], "min_zkey": zkey.take(first).to_pylist(),
+        "leaf_id": first, "min_zkey": zkey.take(first).to_pylist(),
         "max_zkey": zkey.take(last).to_pylist(), "count": last - first + 1,
     })
     return directory, row_groups

@@ -7,19 +7,19 @@ Pipeline (the paper's lines map directly onto Spark stages):
 2. lines 9–12  — external sort by invSAX: ``repartitionByRange`` +
    ``sortWithinPartitions``, persisted (``repro.core.sort_rank``); the
    global rank is read off the sorted partitions as the leaves stream out.
-3. line 13     — UB-tree-style bulk load on the sorted stream: with the
-   data sorted, median-based splitting of a leaf level simply starts a
-   leaf at every ``leaf_capacity``-th rank, and names it by that first
-   rank (``leaf_id = rank - rank % leaf_capacity``) — every leaf (except
+3. line 13     — UB-tree-style bulk load on the sorted stream: the
+   ranked records are written as one rank-ordered Parquet file, and the
+   directory (internal levels) is built from its keys on the driver.
+   With the data sorted, median-based splitting of a leaf level simply
+   starts a leaf at every ``leaf_capacity``-th rank — every leaf (except
    the last) is exactly full, the tree over the leaf ranges is balanced
-   by construction.  The leaves are written as one rank-ordered Parquet
-   file, and the directory (internal levels) is read back from it on the
-   driver.
+   by construction.
 
 ``materialized=True`` is Coconut-Tree-Full (series stored in the
 leaves); otherwise the leaves hold ids and a stand-in raw file is
-written.  ``merge_batch`` implements the bulk-update path of Fig 10a:
-sort the new batch and merge-rewrite, all sequential I/O.
+written.  ``merge_batch`` is the bulk-update path of Fig 10a: it
+rebuilds the index over the old series plus the batch, and charges the
+sequential cost of a streaming merge (a real merge is ROADMAP item 5).
 """
 from __future__ import annotations
 
@@ -100,9 +100,7 @@ def charge_tree_build(
         external_sort_cost(disk, n, c.block_series, memory_items)
         disk.seq_write(raw_blocks)  # leaf level holds raw series
     else:
-        mem_bytes = c.memory_series * c.series_bytes
-        memory_items = max(1, mem_bytes // c.summary_bytes)
-        external_sort_cost(disk, n, c.summaries_per_block, memory_items)
+        external_sort_cost(disk, n, c.summaries_per_block, c.memory_summaries)
         disk.seq_write(max(1, -(-n // c.summaries_per_block)))  # leaf level
 
 
@@ -127,12 +125,13 @@ def build_coconut_tree(
     ranked, release = global_sort_with_rank(summaries, "zkey")
     try:
         write_index_files(
-            ranked.withColumn("leaf_id", F.col("rank") - F.col("rank") % leaf_capacity),
-            None if materialized else series_df, path, materialized=materialized,
+            ranked, None if materialized else series_df, path, materialized=materialized
         )
     finally:
         release()
-    directory, row_groups = directory_from_summaries(f"{path}/leaves")
+    directory, row_groups = directory_from_summaries(
+        f"{path}/leaves", lambda zkey: np.arange(0, len(zkey), leaf_capacity)
+    )
     n = int(directory["count"].sum())
     charge_tree_build(disk, n, materialized=materialized)
 
@@ -155,12 +154,15 @@ def build_coconut_tree(
 def merge_batch(
     index: CoconutIndex, batch_df: DataFrame, *, path: str | None = None
 ) -> CoconutIndex:
-    """Bulk-update: sort the batch, merge with the existing sorted leaf
-    level, rewrite (Fig 10a; the LSM-flavored path the paper motivates).
+    """Bulk-update (Fig 10a; the LSM-flavored path the paper motivates):
+    the old series and the batch are rebuilt into a new index through
+    :func:`build_coconut_tree`, which re-sorts all of them.
 
-    Sequential cost: summarize the batch, sort it, then stream-merge old
-    index + new run.  Contrast with ADS top-down inserts, which pay a
-    random I/O per touched leaf.
+    The sim cost charged is that of a streaming merge, not the rebuild:
+    summarize the batch, sort it, then stream-merge old index + new run.
+    Contrast with ADS top-down inserts, which pay a random I/O per touched
+    leaf.  Making the wall-clock path the merge it is charged as is
+    ROADMAP item 5.
     """
     spark = batch_df.sparkSession
     new_path = path or f"{index.path}__merged"
@@ -191,9 +193,7 @@ def merge_batch(
     per_block = c.block_series if index.materialized else c.summaries_per_block
     disk.seq_read(max(1, -(-b // c.block_series)))            # scan batch
     external_sort_cost(
-        disk, b, per_block,
-        c.memory_series if index.materialized
-        else max(1, c.memory_series * c.series_bytes // c.summary_bytes),
+        disk, b, per_block, c.memory_series if index.materialized else c.memory_summaries
     )
     disk.seq_read(max(1, -(-n_old // per_block)))             # stream old run
     disk.seq_write(max(1, -(-(n_old + b) // per_block)))      # write merged

@@ -11,24 +11,21 @@ leaves while they fit): both yield the minimal prefix partition.
 
 Because groups can only merge at prefix boundaries, leaves end up
 sparse (paper: ~10% full) — the contrast Coconut-Tree removes.  The
-per-subtree recursion runs distributed via ``applyInPandas`` over the
-first-level (1 bit/segment) subtrees, matching Algorithm 2's
-subtree-at-a-time processing.
+split is one driver-side pass over the sorted keys, read back from the
+leaf file as the directory is built: splitting is forced down to the
+first level (1 bit/segment), so no leaf spans two root subtrees — the
+subtrees Algorithm 2 processes one at a time.
 """
 from __future__ import annotations
 
 import time
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
-from pyspark.sql.functions import pandas_udf
 
 from repro.core.coconut_common import (
     CoconutIndex,
     directory_from_summaries,
-    leaf_of,
     write_index_files,
 )
 from repro.core.coconut_tree import _series_length, summarize_series
@@ -42,68 +39,36 @@ from repro.storage.disk_model import DiskConfig, DiskModel, external_sort_cost
 MAX_DEPTH = 62
 
 
-def assign_prefix_leaves(
+def prefix_leaf_starts(
     keys64: np.ndarray, *, start_depth: int, capacity: int, max_depth: int = MAX_DEPTH
-) -> list[tuple[int, int]]:
+) -> np.ndarray:
     """Split a *sorted* array of 64-bit key prefixes into prefix leaves.
 
-    Returns one ``(depth, prefix)`` label per key.  A group splits on its
-    next interleaved bit until it fits ``capacity`` (or ``max_depth`` —
-    normally the number of real, non-padding key bits — is reached, at
-    which point all keys are identical and the leaf is oversized);
-    this is median-free, boundary-constrained splitting.
+    Returns the index of every leaf's first key, ascending.  A group
+    splits on its next interleaved bit until it is ``start_depth`` bits
+    deep (the root subtrees) and fits ``capacity`` — or ``max_depth``,
+    normally the number of real, non-padding key bits, is reached, at
+    which point all keys are identical and the leaf is oversized; this
+    is median-free, boundary-constrained splitting.
     """
     max_depth = min(max_depth, MAX_DEPTH)
-    n = len(keys64)
-    labels: list[tuple[int, int]] = [(0, 0)] * n
-    if n == 0:
-        return labels
-    root_prefix = int(keys64[0]) >> (64 - start_depth) if start_depth else 0
-    stack = [(0, n, start_depth, root_prefix)]
+    starts = []
+    stack = [(0, len(keys64), 0, 0)] if len(keys64) else []
     while stack:
         lo, hi, depth, prefix = stack.pop()
-        if hi - lo <= capacity or depth >= max_depth:
-            for i in range(lo, hi):
-                labels[i] = (depth, prefix)
+        if depth >= start_depth and (hi - lo <= capacity or depth >= max_depth):
+            starts.append(lo)
             continue
         # First key whose bit at position ``depth`` is 1 — the range is
-        # sorted, so the 0-child precedes the 1-child contiguously.
+        # sorted, so the 0-child precedes the 1-child contiguously.  The
+        # 0-child is pushed last, so leaves pop in key order.
         boundary = (2 * prefix + 1) << (64 - depth - 1)
         split = lo + int(np.searchsorted(keys64[lo:hi], boundary, side="left"))
-        if split > lo:
-            stack.append((lo, split, depth + 1, 2 * prefix))
         if split < hi:
             stack.append((split, hi, depth + 1, 2 * prefix + 1))
-    return labels
-
-
-def prefix_leaf_starts(
-    ranked: DataFrame, *, start_depth: int, capacity: int, max_depth: int
-) -> np.ndarray:
-    """First rank of every prefix leaf of the z-key-sorted, ranked frame,
-    ascending: :func:`assign_prefix_leaves` runs on each first-level
-    subtree (``start_depth`` leading key bits) in one distributed pass."""
-
-    @pandas_udf("long")
-    def root_of(zkey: pd.Series) -> pd.Series:
-        return pd.Series(first64(zkey) >> np.uint64(64 - start_depth), dtype=np.int64)
-
-    # One split task per core, whatever the shuffle partition count.
-    rooted = ranked.select("rank", "zkey").withColumn("root", root_of(F.col("zkey")))
-    rooted = rooted.repartition(ranked.sparkSession.sparkContext.defaultParallelism, "root")
-
-    def split_subtree(pdf: pd.DataFrame) -> pd.DataFrame:
-        """First rank of each prefix leaf of one root subtree."""
-        pdf = pdf.sort_values("rank")
-        labels = assign_prefix_leaves(
-            first64(pdf["zkey"]), start_depth=start_depth, capacity=capacity,
-            max_depth=max_depth,
-        )
-        is_start = [i == 0 or labels[i] != labels[i - 1] for i in range(len(labels))]
-        return pd.DataFrame({"leaf_id": pdf["rank"].to_numpy()[is_start]})
-
-    split = rooted.groupBy("root").applyInPandas(split_subtree, schema="leaf_id long")
-    return np.sort(split.toPandas()["leaf_id"].to_numpy())
+        if split > lo:
+            stack.append((lo, split, depth + 1, 2 * prefix))
+    return np.asarray(starts, dtype=np.int64)
 
 
 def charge_trie_build(disk: DiskModel, n: int, n_leaves: int, leaf_capacity: int, *, materialized: bool) -> None:
@@ -125,8 +90,7 @@ def charge_trie_build(disk: DiskModel, n: int, n_leaves: int, leaf_capacity: int
     # CompactSubtree: repeated sibling-merge sweeps over the leaf level
     # (the paper: CTrie "spends a significant time in compacting").
     disk.charge_cpu(3 * n * c.cpu_insert_item_s)
-    mem_summaries = max(1, c.memory_series * c.series_bytes // c.summary_bytes)
-    external_sort_cost(disk, n, c.summaries_per_block, mem_summaries)
+    external_sort_cost(disk, n, c.summaries_per_block, c.memory_summaries)
     disk.seq_read(sum_blocks)  # compaction pass over summaries
     disk.seq_write(sum_blocks)
     if materialized:
@@ -161,21 +125,18 @@ def build_coconut_trie(
     summaries = summarize_series(series_df, w, bits, keep_series=materialized)
     ranked, release = global_sort_with_rank(summaries, "zkey")
     try:
-        starts = prefix_leaf_starts(
-            ranked, start_depth=start_depth, capacity=capacity, max_depth=min(w * bits, MAX_DEPTH)
-        )
-
-        @pandas_udf("long")
-        def leaf_id_of(rank: pd.Series) -> pd.Series:
-            return pd.Series(leaf_of(starts, rank.to_numpy()))
-
         write_index_files(
-            ranked.withColumn("leaf_id", leaf_id_of(F.col("rank"))),
-            None if materialized else series_df, path, materialized=materialized,
+            ranked, None if materialized else series_df, path, materialized=materialized
         )
     finally:
         release()
-    directory, row_groups = directory_from_summaries(f"{path}/leaves")
+    directory, row_groups = directory_from_summaries(
+        f"{path}/leaves",
+        lambda zkey: prefix_leaf_starts(
+            first64(zkey.to_pylist()), start_depth=start_depth, capacity=capacity,
+            max_depth=min(w * bits, MAX_DEPTH),
+        ),
+    )
     n = int(directory["count"].sum())
     charge_trie_build(disk, n, len(directory), capacity, materialized=materialized)
 

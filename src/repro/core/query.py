@@ -74,13 +74,13 @@ def _check_radius(radius: int) -> None:
         raise ValueError(f"radius must be >= 1 leaf, got {radius}")
 
 
-def _leaf_window(index: CoconutIndex, pos: int, radius: int) -> list[int]:
+def _leaf_window(index: CoconutIndex, pos: int, radius: int) -> slice:
     """``radius`` directory positions centered on ``pos`` (clamped)."""
     n = index.n_leaves
     lo = max(0, pos - (radius - 1) // 2)
     hi = min(n, lo + radius)
     lo = max(0, hi - radius)
-    return list(range(lo, hi))
+    return slice(lo, hi)
 
 
 def _true_distances(
@@ -109,13 +109,11 @@ def approximate_search(
     t0 = time.perf_counter()
     disk = DiskModel(config=index.disk_config)
     _, _, qz = query_summary(index, query)
-    window = _leaf_window(index, _target_leaf_pos(index, qz), radius)
-    leaf_ids = [int(index.directory.iloc[p]["leaf_id"]) for p in window]
-    counts = [int(index.directory.iloc[p]["count"]) for p in window]
+    window = index.directory.iloc[_leaf_window(index, _target_leaf_pos(index, qz), radius)]
     # Contiguous leaves: one sequential run covering the window.
-    disk.seq_read(sum(index.leaf_blocks(c) for c in counts))
+    disk.seq_read(sum(index.leaf_blocks(int(c)) for c in window["count"]))
     cols = ["id", "series"] if index.materialized else ["id", "zkey"]
-    leaf_pdf = index.read_leaves(leaf_ids, columns=cols)
+    leaf_pdf = index.read_leaves(window["leaf_id"].tolist(), columns=cols)
     if not index.materialized:
         # Secondary index: the paper retrieves "all data series in a
         # specific radius from this point ... usually a disk page" — a

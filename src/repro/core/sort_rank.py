@@ -14,7 +14,7 @@ one job over a ``spark_partition_id()`` projection both materializes
 them and counts each partition.  A global rank is then a lazy JVM
 column, ``offset[partition] + position in partition``, read straight off
 the persisted sorted partitions by whatever consumes them (the leaf
-write, the trie's split) — no extra pass, no ``row_number`` window
+write) — no extra pass, no ``row_number`` window
 funnelling all rows through one task.
 """
 from __future__ import annotations

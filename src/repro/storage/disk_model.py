@@ -45,6 +45,11 @@ class DiskConfig:
     def summaries_per_block(self) -> int:
         return max(1, self.block_bytes // self.summary_bytes)
 
+    @property
+    def memory_summaries(self) -> int:
+        """Summaries that fit in the memory of ``memory_series`` series."""
+        return max(1, self.memory_series * self.series_bytes // self.summary_bytes)
+
 
 @dataclass
 class DiskModel:

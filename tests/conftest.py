@@ -37,6 +37,14 @@ def jobs_under_group(spark, group: str, fn) -> list[int]:
     return list(sc.statusTracker().getJobIdsForGroup(group))
 
 
+def assert_leaves_tile_ranks(directory, n: int) -> None:
+    """The directory's leaves are contiguous rank ranges that tile
+    0..n-1 in order: each leaf starts where the one before it ends."""
+    counts = directory["count"].to_numpy()
+    assert (counts > 0).all() and counts.sum() == n
+    assert list(directory["leaf_id"]) == [0, *np.cumsum(counts)[:-1]]
+
+
 def persisted_rdds(spark) -> int:
     """Number of RDDs the Spark context holds persisted (cached)."""
     return spark.sparkContext._jsc.getPersistentRDDs().size()

@@ -3,9 +3,10 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.coconut_common import leaf_of
 from repro.core.zorder import zkeys
 from repro.oracle import assert_equivalent
-from tests.conftest import CAPACITY, N_SERIES
+from tests.conftest import CAPACITY, N_SERIES, assert_leaves_tile_ranks
 
 
 class TestStructure:
@@ -29,11 +30,8 @@ class TestStructure:
         for i in range(len(d) - 1):
             assert d.iloc[i]["max_zkey"] <= d.iloc[i + 1]["min_zkey"]
 
-    def test_ranks_contiguous_within_leaf(self, spark, ctree):
-        pdf = spark.read.parquet(f"{ctree.path}/leaves").select("leaf_id", "rank").toPandas()
-        for lid, grp in pdf.groupby("leaf_id"):
-            r = sorted(grp["rank"])
-            assert r == list(range(r[0], r[0] + len(r)))
+    def test_ranks_contiguous_within_leaf(self, ctree):
+        assert_leaves_tile_ranks(ctree.directory, N_SERIES)
 
     def test_zkeys_match_recomputation(self, spark, ctree, walk_mat):
         leaves = spark.read.parquet(f"{ctree.path}/leaves")
@@ -50,7 +48,9 @@ class TestStructure:
     def test_directory_against_oracle(self, name, request, spark):
         """The leaf directory equals a DuckDB GROUP BY over the leaf file
         (key ranges compared as hex: collected binary values are
-        unhashable)."""
+        unhashable).  A tree leaf starts at every capacity-th rank; a
+        trie record's leaf is the directory leaf starting at or before
+        its rank."""
         index = request.getfixturevalue(name)
         d = index.directory
         got = pd.DataFrame({
@@ -59,11 +59,13 @@ class TestStructure:
             "max_zkey": [bytes(z).hex().upper() for z in d["max_zkey"]],
             "cnt": d["count"],
         })
-        pdf = spark.read.parquet(f"{index.path}/leaves").select("leaf_id", "zkey").toPandas()
+        pdf = spark.read.parquet(f"{index.path}/leaves").select("rank", "zkey").toPandas()
+        pdf["leaf"] = leaf_of(d["leaf_id"].to_numpy(), pdf["rank"].to_numpy())
+        leaf = "leaf" if name == "ctrie" else f"rank - rank % {CAPACITY}"
         assert_equivalent(
             spark.createDataFrame(got),
-            "SELECT leaf_id, hex(min(zkey)) AS min_zkey, hex(max(zkey)) AS max_zkey, "
-            "count(*) AS cnt FROM s GROUP BY leaf_id",
+            f"SELECT {leaf} AS leaf_id, hex(min(zkey)) AS min_zkey, "
+            f"hex(max(zkey)) AS max_zkey, count(*) AS cnt FROM s GROUP BY {leaf}",
             s=pdf,
         )
 
@@ -77,13 +79,13 @@ class TestPersistedLayout:
     def test_leaf_file_holds_every_series(self, ctree, spark):
         df = spark.read.parquet(f"{ctree.path}/leaves")
         assert df.count() == N_SERIES
-        assert "leaf_id" in df.columns
 
     def test_leaf_record_and_directory_columns(self, ctree, spark):
-        """A leaf record is (id, zkey, rank); the directory holds each
-        leaf's id (its first rank), key range and count."""
+        """A leaf record is (id, zkey, rank): leaf boundaries are not
+        stored in it.  The directory holds each leaf's id (its first
+        rank), key range and count."""
         df = spark.read.parquet(f"{ctree.path}/leaves")
-        assert sorted(df.columns) == ["id", "leaf_id", "rank", "zkey"]
+        assert sorted(df.columns) == ["id", "rank", "zkey"]
         assert dict(df.dtypes)["zkey"] == "binary"
         assert list(ctree.directory.columns) == [
             "leaf_id", "min_zkey", "max_zkey", "count"
@@ -113,13 +115,12 @@ class TestPersistedLayout:
 
     def test_materialized_leaves_hold_series(self, ctree_full, spark):
         df = spark.read.parquet(f"{ctree_full.path}/leaves")
-        assert "series" in df.columns
+        assert sorted(df.columns) == ["id", "rank", "series", "zkey"]
 
     def test_read_leaves_returns_only_that_leaf(self, ctree):
         lid = int(ctree.directory.iloc[0]["leaf_id"])
         pdf = ctree.read_leaves([lid])
         assert len(pdf) == int(ctree.directory.iloc[0]["count"])
-        assert set(pdf["leaf_id"]) == {lid}
         assert list(pdf["rank"]) == list(range(lid, lid + len(pdf)))
 
     @pytest.mark.parametrize("name", ["ctree", "ctrie", "ctree_full"])

@@ -2,77 +2,136 @@
 import numpy as np
 import pytest
 
-from repro.core.coconut_trie import MAX_DEPTH, assign_prefix_leaves
+from repro.core.coconut_common import leaf_of
+from repro.core.coconut_trie import MAX_DEPTH, prefix_leaf_starts
 from repro.core.zorder import prefix_key
-from tests.conftest import CAPACITY, N_SERIES
+from tests.conftest import CAPACITY, N_SERIES, assert_leaves_tile_ranks
+
+
+def _per_root_starts(keys64, *, start_depth, capacity, max_depth=MAX_DEPTH):
+    """Reference split: each run of keys with equal first ``start_depth``
+    bits (one root subtree) is split on its own, the next interleaved bit
+    at a time, until a group fits ``capacity`` or ``max_depth`` is
+    reached; returns the index of every leaf's first key."""
+    max_depth = min(max_depth, MAX_DEPTH)
+    keys = [int(k) for k in keys64]
+    roots = [k >> (64 - start_depth) for k in keys]
+    starts = []
+    for r0 in [i for i in range(len(keys)) if i == 0 or roots[i] != roots[i - 1]]:
+        r1 = r0
+        while r1 < len(keys) and roots[r1] == roots[r0]:
+            r1 += 1
+        stack = [(r0, r1, start_depth, roots[r0])]
+        while stack:
+            lo, hi, depth, prefix = stack.pop()
+            if hi - lo <= capacity or depth >= max_depth:
+                starts.append(lo)
+                continue
+            boundary = (2 * prefix + 1) << (64 - depth - 1)
+            split = next((i for i in range(lo, hi) if keys[i] >= boundary), hi)
+            if split > lo:
+                stack.append((lo, split, depth + 1, 2 * prefix))
+            if split < hi:
+                stack.append((split, hi, depth + 1, 2 * prefix + 1))
+    return sorted(starts)
+
+
+def _node_depth(keys64, lo, hi, start_depth):
+    """Depth of the shallowest trie node at or below ``start_depth`` whose
+    keys are exactly ``keys64[lo:hi]`` (``None`` if there is none)."""
+    keys = [int(k) for k in keys64]
+    for d in range(start_depth, 65):
+        p = keys[lo] >> (64 - d)
+        if (keys[hi - 1] >> (64 - d) == p
+                and (lo == 0 or keys[lo - 1] >> (64 - d) != p)
+                and (hi == len(keys) or keys[hi] >> (64 - d) != p)):
+            return d
+    return None
+
+
+def _leaf_ranges(starts, n):
+    return list(zip(starts, [*starts[1:], n]))
+
+
+def _random_keys(seed, n):
+    g = np.random.default_rng(seed)
+    return np.sort(g.integers(0, 2**63, n).astype(np.uint64))
 
 
 class TestAssignPrefixLeaves:
+    """:func:`prefix_leaf_starts`: one split over the whole sorted array."""
+
     def test_small_group_single_leaf(self):
         keys = np.array([1, 2, 3], dtype=np.uint64)
-        labels = assign_prefix_leaves(keys, start_depth=0, capacity=10)
-        assert len(set(labels)) == 1
+        assert list(prefix_leaf_starts(keys, start_depth=0, capacity=10)) == [0]
 
     def test_split_on_top_bit(self):
         lo = np.arange(5, dtype=np.uint64)
         hi = lo + (np.uint64(1) << np.uint64(63))
         keys = np.concatenate([lo, hi])
-        labels = assign_prefix_leaves(keys, start_depth=0, capacity=5)
-        assert len(set(labels)) == 2
-        assert labels[0] == (1, 0) and labels[-1] == (1, 1)
+        starts = prefix_leaf_starts(keys, start_depth=0, capacity=5)
+        assert list(starts) == [0, 5]
+        assert [_node_depth(keys, a, b, 0) for a, b in _leaf_ranges(starts, 10)] == [1, 1]
 
     def test_capacity_respected(self):
-        g = np.random.default_rng(0)
-        keys = np.sort(g.integers(0, 2**63, 500).astype(np.uint64))
-        labels = assign_prefix_leaves(keys, start_depth=0, capacity=40)
-        from collections import Counter
-
-        for (d, p), cnt in Counter(labels).items():
-            if d < MAX_DEPTH:
-                assert cnt <= 40
+        keys = _random_keys(0, 500)
+        starts = prefix_leaf_starts(keys, start_depth=0, capacity=40)
+        assert np.diff([*starts, len(keys)]).max() <= 40
 
     def test_leaves_contiguous_in_sorted_order(self):
-        g = np.random.default_rng(1)
-        keys = np.sort(g.integers(0, 2**63, 300).astype(np.uint64))
-        labels = assign_prefix_leaves(keys, start_depth=0, capacity=20)
-        seen = set()
-        prev = None
-        for lab in labels:
-            if lab != prev:
-                assert lab not in seen  # each label is one contiguous run
-                seen.add(lab)
-                prev = lab
+        """The leaves tile the sorted array: the first starts at 0 and
+        each starts after the one before."""
+        keys = _random_keys(1, 300)
+        starts = prefix_leaf_starts(keys, start_depth=0, capacity=20)
+        assert starts[0] == 0
+        assert (np.diff(starts) > 0).all() and starts[-1] < len(keys)
 
     def test_prefix_property(self):
-        """Every key in a (depth, prefix) leaf has that bit-prefix."""
-        g = np.random.default_rng(2)
-        keys = np.sort(g.integers(0, 2**63, 200).astype(np.uint64))
-        labels = assign_prefix_leaves(keys, start_depth=0, capacity=15)
-        for key, (d, p) in zip(keys, labels):
-            if d > 0:
-                assert int(key) >> (64 - d) == p
+        """Every leaf holds exactly the keys of one (depth, prefix) trie
+        node at or below ``start_depth``."""
+        keys = _random_keys(2, 200)
+        for start_depth in (0, 3):
+            starts = prefix_leaf_starts(keys, start_depth=start_depth, capacity=15)
+            for lo, hi in _leaf_ranges(starts, len(keys)):
+                assert _node_depth(keys, lo, hi, start_depth) is not None
 
     def test_identical_keys_oversized_leaf(self):
         keys = np.zeros(100, dtype=np.uint64)
-        labels = assign_prefix_leaves(keys, start_depth=0, capacity=10)
-        assert len(set(labels)) == 1  # cannot split identical keys
+        starts = prefix_leaf_starts(keys, start_depth=0, capacity=10)
+        assert list(starts) == [0]  # cannot split identical keys
 
     def test_minimal_depth(self):
-        """No two sibling leaves could be merged and still fit — the
-        CompactSubtree fixpoint."""
-        g = np.random.default_rng(3)
-        keys = np.sort(g.integers(0, 2**63, 400).astype(np.uint64))
+        """No leaf could be merged into its parent node and still fit —
+        the CompactSubtree fixpoint: each parent holds more than
+        ``capacity`` keys."""
+        keys = _random_keys(3, 400)
         capacity = 30
-        labels = assign_prefix_leaves(keys, start_depth=0, capacity=capacity)
-        from collections import Counter
+        starts = prefix_leaf_starts(keys, start_depth=0, capacity=capacity)
+        as_int = [int(k) for k in keys]
+        for lo, hi in _leaf_ranges(starts, len(keys)):
+            d = _node_depth(keys, lo, hi, 0)
+            if d > 0:
+                parent = as_int[lo] >> (64 - d + 1)
+                assert sum(k >> (64 - d + 1) == parent for k in as_int) > capacity
 
-        counts = Counter(labels)
-        for (d, p), cnt in counts.items():
-            if d == 0:
-                continue
-            sib = (d, p ^ 1)
-            if sib in counts:
-                assert cnt + counts[sib] > capacity
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("start_depth,capacity,max_depth", [
+        (8, 10, 32), (8, 25, 62), (3, 7, 12), (1, 40, 20),
+    ])
+    def test_matches_per_root_reference(self, seed, start_depth, capacity, max_depth):
+        """Whole-array split == each root subtree split on its own, on
+        keys with runs of identical and of near-identical keys."""
+        g = np.random.default_rng(seed)
+        base = g.integers(0, 2**64, 300, dtype=np.uint64)
+        near = base[:10, None] ^ g.integers(0, 2**24, (10, 30), dtype=np.uint64)
+        dups = np.repeat(base[10:15], g.integers(2, 3 * capacity, 5))
+        keys = np.sort(np.concatenate([base, near.ravel(), dups]))
+        got = prefix_leaf_starts(
+            keys, start_depth=start_depth, capacity=capacity, max_depth=max_depth
+        )
+        assert list(got) == _per_root_starts(
+            keys, start_depth=start_depth, capacity=capacity, max_depth=max_depth
+        )
 
 
 class TestTrieIndex:
@@ -88,10 +147,10 @@ class TestTrieIndex:
     def test_leaf_members_share_prefix(self, spark, ctrie):
         """A leaf is a trie node: no key in any other leaf shares the
         longest common prefix of its members."""
-        pdf = spark.read.parquet(f"{ctrie.path}/leaves").select("leaf_id", "zkey").toPandas()
+        pdf = spark.read.parquet(f"{ctrie.path}/leaves").select("rank", "zkey").toPandas()
         total_bits = 8 * len(pdf["zkey"].iloc[0])
         keys = [int.from_bytes(z, "big") for z in pdf["zkey"]]
-        leaf = pdf["leaf_id"].to_list()
+        leaf = leaf_of(ctrie.directory["leaf_id"].to_numpy(), pdf["rank"].to_numpy()).tolist()
         for lid in set(leaf):
             members = [k for k, l in zip(keys, leaf) if l == lid]
             shift = max((members[0] ^ k).bit_length() for k in members)
@@ -99,11 +158,8 @@ class TestTrieIndex:
             assert total_bits - shift >= ctrie.w  # at least the root level
             assert all(k >> shift != prefix for k, l in zip(keys, leaf) if l != lid)
 
-    def test_leaves_contiguous_ranges(self, spark, ctrie):
-        pdf = spark.read.parquet(f"{ctrie.path}/leaves").select("leaf_id", "rank").toPandas()
-        for lid, grp in pdf.groupby("leaf_id"):
-            r = sorted(grp["rank"])
-            assert r == list(range(r[0], r[0] + len(r)))
+    def test_leaves_contiguous_ranges(self, ctrie):
+        assert_leaves_tile_ranks(ctrie.directory, N_SERIES)
 
     def test_key_ranges_disjoint(self, ctrie):
         d = ctrie.directory
@@ -129,9 +185,10 @@ class TestTrieIndex:
     def test_trie_leaves_map_to_isax_nodes(self, spark, ctrie):
         """Each leaf's (depth,prefix) is an iSAX node: members agree on
         prefix_key at every whole-symbol-resolution up to the leaf depth."""
-        pdf = spark.read.parquet(f"{ctrie.path}/leaves").select("leaf_id", "zkey").toPandas()
+        pdf = spark.read.parquet(f"{ctrie.path}/leaves").select("rank", "zkey").toPandas()
+        pdf["leaf"] = leaf_of(ctrie.directory["leaf_id"].to_numpy(), pdf["rank"].to_numpy())
         w, bits = ctrie.w, ctrie.bits
-        for lid, grp in pdf.groupby("leaf_id"):
+        for lid, grp in pdf.sort_values("rank").groupby("leaf"):
             zk = list(grp["zkey"])
             if len(zk) < 2:
                 continue
@@ -188,12 +245,9 @@ class TestWideKeys:
         # The DUPS+1 identical keys cannot be split: MAX_DEPTH was reached.
         assert idx.directory["count"].max() == self.DUPS + 1
 
-    def test_ranks_contiguous_within_leaf(self, spark, wide):
+    def test_ranks_contiguous_within_leaf(self, wide):
         idx, _ = wide
-        pdf = spark.read.parquet(f"{idx.path}/leaves").select("leaf_id", "rank").toPandas()
-        for _, grp in pdf.groupby("leaf_id"):
-            r = sorted(grp["rank"])
-            assert r == list(range(r[0], r[0] + len(r)))
+        assert_leaves_tile_ranks(idx.directory, self.N)
 
     def test_exact_equals_brute_force(self, wide, queries):
         from repro.baselines.brute_force import exact_nn_numpy

@@ -16,12 +16,13 @@ import pyarrow.parquet as pq
 import pytest
 
 from repro.baselines.brute_force import exact_nn_numpy
+from repro.core.coconut_common import leaf_of
 from repro.core.coconut_tree import build_coconut_tree
 from repro.core.coconut_trie import build_coconut_trie
 from repro.core.query import exact_search
 from repro.core.zorder import first64, zkeys
 from repro.synth_data import series_matrix
-from tests.conftest import LENGTH
+from tests.conftest import LENGTH, assert_leaves_tile_ranks
 
 N_WALKS, CAP = 300, 20
 N_CONST = 3 * CAP + 1
@@ -59,10 +60,10 @@ def edge_index(edge_case, spark, edge_mat, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def leaf_ranks(spark, edge_index) -> pd.DataFrame:
-    return (
-        spark.read.parquet(f"{edge_index.path}/leaves")
-        .select("leaf_id", "rank").toPandas()
-    )
+    """Each record's rank and the leaf the directory puts it in."""
+    pdf = spark.read.parquet(f"{edge_index.path}/leaves").select("rank").toPandas()
+    pdf["leaf"] = leaf_of(edge_index.directory["leaf_id"].to_numpy(), pdf["rank"].to_numpy())
+    return pdf
 
 
 def test_counts_sum_to_n(edge_index, edge_mat):
@@ -70,14 +71,13 @@ def test_counts_sum_to_n(edge_index, edge_mat):
     assert edge_index.directory["count"].sum() == len(edge_mat)
 
 
-def test_ranks_contiguous_within_leaf(leaf_ranks):
-    for _, grp in leaf_ranks.groupby("leaf_id"):
-        r = sorted(grp["rank"])
-        assert r == list(range(r[0], r[0] + len(r)))
+def test_ranks_contiguous_within_leaf(edge_index, edge_mat):
+    assert_leaves_tile_ranks(edge_index.directory, len(edge_mat))
 
 
 def test_leaf_id_is_first_rank(edge_index, leaf_ranks):
-    first = leaf_ranks.groupby("leaf_id")["rank"].min()
+    """Every leaf holds records, and its id is its first record's rank."""
+    first = leaf_ranks.groupby("leaf")["rank"].min()
     assert (first.index == first.to_numpy()).all()
     assert list(edge_index.directory["leaf_id"]) == list(first.index)
 

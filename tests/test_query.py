@@ -197,7 +197,9 @@ class TestNoSparkJobs:
         got = []
         jobs = jobs_under_group(
             spark, f"no-jobs-dir-{fixture}",
-            lambda: got.append(directory_from_summaries(f"{idx.path}/leaves")),
+            lambda: got.append(directory_from_summaries(
+                f"{idx.path}/leaves", lambda zkey: idx.directory["leaf_id"].to_numpy()
+            )),
         )
         assert jobs == []
         pd.testing.assert_frame_equal(got[0][0], idx.directory)
