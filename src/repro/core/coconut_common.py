@@ -3,14 +3,16 @@
 Both variants produce the same on-disk shape, which is what makes their
 comparison (paper §4.2 vs §4.3) clean:
 
-- ``<path>/leaves``  — one Parquet file whose part files, in name
-  order, hold ranks 0..N-1 (z-key order): the contiguous leaf level
-  ("columnar index structure").  Each record is the paper's leaf entry:
-  the invSAX key ``zkey`` (a fixed-width ``binary`` value; the SAX word
-  is decoded from it) and the series ``id`` in place of a file offset,
-  plus its ``rank``.  Materialized leaves also hold the series.  A leaf
-  is a contiguous run of ranks, named by its first rank (``leaf_id``);
-  leaf boundaries live only in the directory, not in the records.
+- ``<path>/leaves``  — one Parquet file, the sorted run of the bulk
+  load: the contiguous leaf level ("columnar index structure").  Each
+  record is the paper's leaf entry, ``id, zkey[, series]``: the series
+  ``id`` in place of a file offset and the invSAX key ``zkey`` (a
+  fixed-width ``binary`` value; the SAX word is decoded from it), plus
+  the series when materialized.  A record's *rank* is not stored: it is
+  its row position in the part files taken in name order, which hold
+  the records in z-key order.  A leaf is a contiguous run of ranks,
+  named by its first rank (``leaf_id``); leaf boundaries live only in
+  the directory, not in the records.
 - ``<path>/raw``     — Parquet (id, series): stands in for the paper's
   raw series file; only written for non-materialized (secondary)
   indexes, whose leaves hold ids ("offsets") instead of series.
@@ -44,7 +46,7 @@ from pyspark.sql import DataFrame
 from repro.core.zorder import deinterleave
 from repro.storage.disk_model import DiskConfig, DiskModel
 
-SUMMARY_COLS = ["id", "zkey", "rank"]
+SUMMARY_COLS = ["id", "zkey"]
 
 
 def _part_files(directory: str) -> list[str]:
@@ -168,14 +170,17 @@ class CoconutIndex:
         return pa.concat_tables(parts).to_pandas(use_threads=False)
 
     def load_summaries(self) -> Summaries:
-        """Read the leaf file's (id, rank, zkey) in one pass and decode the
-        SAX words.  Queries rely on the part files, in name order, holding
-        ranks 0..N-1: files that do not are an error."""
+        """Read the leaf file's (id, zkey) in one pass and decode the SAX
+        words.  Queries rely on the part files, in name order, holding
+        ranks 0..N-1 — N records in z-key order: files that do not are an
+        error."""
         files = _part_files(f"{self.path}/leaves")
-        t = pa.concat_tables([_read_part(f, ["id", "rank", "zkey"]) for f in files])
-        if not np.array_equal(t.column("rank").to_numpy(), np.arange(self.n_series)):
+        t = pa.concat_tables([_read_part(f, ["id", "zkey"]) for f in files])
+        zkey = t.column("zkey").to_pylist()
+        keys = np.array(zkey)  # fixed-width keys: one numpy bytes dtype
+        if len(keys) != self.n_series or (keys[1:] < keys[:-1]).any():
             raise ValueError(f"{self.path}/leaves does not hold ranks 0..N-1 in file order")
-        sax = deinterleave(t.column("zkey").to_pylist(), self.w, self.bits)
+        sax = deinterleave(zkey, self.w, self.bits)
         return Summaries(sax=sax, id=t.column("id").to_numpy())
 
     def close(self) -> None:
@@ -218,8 +223,9 @@ def write_index_files(
     materialized: bool,
 ) -> None:
     """Write the leaf level (and the stand-in raw file for secondary
-    indexes) to the local filesystem.  ``summaries`` is range-partitioned
-    by rank, so its part files, in name order, hold ranks 0..N-1."""
+    indexes) to the local filesystem.  ``summaries`` is the globally
+    sorted frame, range-partitioned by key, so its part files, in name
+    order, hold ranks 0..N-1."""
     cols = list(SUMMARY_COLS)
     if materialized:
         cols.append("series")

@@ -5,11 +5,12 @@ Pipeline (the paper's lines map directly onto Spark stages):
 1. lines 2–8   — one scan of the raw series computing (invSAX, position):
    ``mapInPandas`` summarization pass.
 2. lines 9–12  — external sort by invSAX: ``repartitionByRange`` +
-   ``sortWithinPartitions``, persisted (``repro.core.sort_rank``); the
-   global rank is read off the sorted partitions as the leaves stream out.
+   ``sortWithinPartitions`` (``repro.core.sort_rank``), run as the
+   leaves are written.
 3. line 13     — UB-tree-style bulk load on the sorted stream: the
-   ranked records are written as one rank-ordered Parquet file, and the
-   directory (internal levels) is built from its keys on the driver.
+   sorted records (``id, zkey[, series]``) are written as one Parquet
+   file, in which a record's rank is its position, and the directory
+   (internal levels) is built from its keys on the driver.
    With the data sorted, median-based splitting of a leaf level simply
    starts a leaf at every ``leaf_capacity``-th rank — every leaf (except
    the last) is exactly full, the tree over the leaf ranges is balanced
@@ -122,10 +123,10 @@ def build_coconut_tree(
     length = _series_length(series_df, w)
 
     summaries = summarize_series(series_df, w, bits, keep_series=materialized)
-    ranked, release = global_sort_with_rank(summaries, "zkey")
+    ordered, release = global_sort_with_rank(summaries, "zkey")
     try:
         write_index_files(
-            ranked, None if materialized else series_df, path, materialized=materialized
+            ordered, None if materialized else series_df, path, materialized=materialized
         )
     finally:
         release()

@@ -123,10 +123,10 @@ def build_coconut_trie(
     start_depth = w  # first trie level: 1 bit from each of the w segments
 
     summaries = summarize_series(series_df, w, bits, keep_series=materialized)
-    ranked, release = global_sort_with_rank(summaries, "zkey")
+    ordered, release = global_sort_with_rank(summaries, "zkey")
     try:
         write_index_files(
-            ranked, None if materialized else series_df, path, materialized=materialized
+            ordered, None if materialized else series_df, path, materialized=materialized
         )
     finally:
         release()

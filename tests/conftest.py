@@ -2,9 +2,13 @@
 session-scoped so the Spark builds are paid once across the suite."""
 from __future__ import annotations
 
+import os
 import shutil
 
 import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from repro.baselines.dstree import DSTreeIndex
@@ -43,6 +47,18 @@ def assert_leaves_tile_ranks(directory, n: int) -> None:
     counts = directory["count"].to_numpy()
     assert (counts > 0).all() and counts.sum() == n
     assert list(directory["leaf_id"]) == [0, *np.cumsum(counts)[:-1]]
+
+
+def read_in_file_order(path: str, columns: list[str] | None = None) -> pd.DataFrame:
+    """The records of the Parquet file ``path`` (a leaf file, or any
+    sorted frame written without ``partitionBy``) as its part files, in
+    name order, hold them, with each record's row position as ``rank``.
+    ``spark.read`` does not promise that order; pyarrow reads it as is."""
+    parts = sorted(f for f in os.listdir(path) if f.endswith(".parquet"))
+    t = pa.concat_tables([pq.read_table(os.path.join(path, f), columns=columns) for f in parts])
+    pdf = t.to_pandas()
+    pdf.insert(0, "rank", np.arange(len(pdf)))
+    return pdf
 
 
 def persisted_rdds(spark) -> int:

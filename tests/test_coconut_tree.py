@@ -6,7 +6,7 @@ import pytest
 from repro.core.coconut_common import leaf_of
 from repro.core.zorder import zkeys
 from repro.oracle import assert_equivalent
-from tests.conftest import CAPACITY, N_SERIES, assert_leaves_tile_ranks
+from tests.conftest import CAPACITY, N_SERIES, assert_leaves_tile_ranks, read_in_file_order
 
 
 class TestStructure:
@@ -39,9 +39,8 @@ class TestStructure:
         expected = zkeys(walk_mat, ctree.w, ctree.bits)
         assert list(pdf["zkey"]) == expected
 
-    def test_file_order_is_key_order(self, spark, ctree):
-        leaves = spark.read.parquet(f"{ctree.path}/leaves")
-        pdf = leaves.select("rank", "zkey").toPandas().sort_values("rank")
+    def test_file_order_is_key_order(self, ctree):
+        pdf = read_in_file_order(f"{ctree.path}/leaves", ["zkey"])
         assert list(pdf["zkey"]) == sorted(pdf["zkey"])
 
     @pytest.mark.parametrize("name", ["ctree", "ctrie", "ctree_full"])
@@ -59,7 +58,7 @@ class TestStructure:
             "max_zkey": [bytes(z).hex().upper() for z in d["max_zkey"]],
             "cnt": d["count"],
         })
-        pdf = spark.read.parquet(f"{index.path}/leaves").select("rank", "zkey").toPandas()
+        pdf = read_in_file_order(f"{index.path}/leaves", ["zkey"])
         pdf["leaf"] = leaf_of(d["leaf_id"].to_numpy(), pdf["rank"].to_numpy())
         leaf = "leaf" if name == "ctrie" else f"rank - rank % {CAPACITY}"
         assert_equivalent(
@@ -81,25 +80,24 @@ class TestPersistedLayout:
         assert df.count() == N_SERIES
 
     def test_leaf_record_and_directory_columns(self, ctree, spark):
-        """A leaf record is (id, zkey, rank): leaf boundaries are not
-        stored in it.  The directory holds each leaf's id (its first
-        rank), key range and count."""
+        """A leaf record is (id, zkey): neither its rank (its position in
+        the file) nor leaf boundaries are stored in it.  The directory
+        holds each leaf's id (its first rank), key range and count."""
         df = spark.read.parquet(f"{ctree.path}/leaves")
-        assert sorted(df.columns) == ["id", "rank", "zkey"]
+        assert sorted(df.columns) == ["id", "zkey"]
         assert dict(df.dtypes)["zkey"] == "binary"
         assert list(ctree.directory.columns) == [
             "leaf_id", "min_zkey", "max_zkey", "count"
         ]
 
     @pytest.mark.parametrize("name", ["ctree", "ctrie", "ctree_full"])
-    def test_summaries_decode_to_sax(self, name, request, spark, walk_mat):
+    def test_summaries_decode_to_sax(self, name, request, walk_mat):
         """The in-memory SAX words, decoded from the leaf keys, are the
         numpy SAX words of the series in rank order."""
         from repro.core.sax import sax
 
         index = request.getfixturevalue(name)
-        pdf = spark.read.parquet(f"{index.path}/leaves").select("id", "rank").toPandas()
-        ids = pdf.sort_values("rank")["id"].to_numpy()
+        ids = read_in_file_order(f"{index.path}/leaves", ["id"])["id"].to_numpy()
         summaries = index.load_summaries()
         assert np.array_equal(summaries.id, ids)
         assert np.array_equal(summaries.sax, sax(walk_mat, index.w, index.bits)[ids])
@@ -115,21 +113,21 @@ class TestPersistedLayout:
 
     def test_materialized_leaves_hold_series(self, ctree_full, spark):
         df = spark.read.parquet(f"{ctree_full.path}/leaves")
-        assert sorted(df.columns) == ["id", "rank", "series", "zkey"]
+        assert sorted(df.columns) == ["id", "series", "zkey"]
 
     def test_read_leaves_returns_only_that_leaf(self, ctree):
         lid = int(ctree.directory.iloc[0]["leaf_id"])
         pdf = ctree.read_leaves([lid])
         assert len(pdf) == int(ctree.directory.iloc[0]["count"])
-        assert list(pdf["rank"]) == list(range(lid, lid + len(pdf)))
+        ids = read_in_file_order(f"{ctree.path}/leaves", ["id"])["id"]
+        assert list(pdf["id"]) == list(ids[lid : lid + len(pdf)])
 
     @pytest.mark.parametrize("name", ["ctree", "ctrie", "ctree_full"])
     def test_leaf_level_is_one_rank_ordered_file(self, name, request):
         """No per-leaf subdirectories: the part files, in name order, hold
-        ranks 0..N-1 ascending."""
+        every record in (zkey, id) order, so a record's position is its
+        rank."""
         import os
-
-        import pyarrow.parquet as pq
 
         index = request.getfixturevalue(name)
         leaves = f"{index.path}/leaves"
@@ -137,14 +135,15 @@ class TestPersistedLayout:
         assert not any(e.startswith("leaf_id=") for e in entries)
         parts = [e for e in entries if e.endswith(".parquet")]
         assert all(os.path.isfile(f"{leaves}/{e}") for e in parts)
-        ranks = np.concatenate(
-            [pq.read_table(f"{leaves}/{e}", columns=["rank"])["rank"].to_numpy() for e in parts]
-        )
-        assert np.array_equal(ranks, np.arange(N_SERIES))
+        pdf = read_in_file_order(leaves, ["zkey", "id"])
+        assert len(pdf) == N_SERIES
+        records = list(zip(pdf["zkey"], pdf["id"]))
+        assert records == sorted(records)
 
     def test_load_summaries_rejects_out_of_order_files(self, ctree, tmp_path):
-        """Two part files swapped by name: the ranks read in name order are
-        not 0..N-1, so loading the summaries fails loudly."""
+        """Two part files swapped by name: the keys read in name order are
+        not in z-key order, so their positions are not their ranks, and
+        loading the summaries fails loudly."""
         import dataclasses
         import os
         import shutil

@@ -5,7 +5,7 @@ import pytest
 from repro.core.coconut_common import leaf_of
 from repro.core.coconut_trie import MAX_DEPTH, prefix_leaf_starts
 from repro.core.zorder import prefix_key
-from tests.conftest import CAPACITY, N_SERIES, assert_leaves_tile_ranks
+from tests.conftest import CAPACITY, N_SERIES, assert_leaves_tile_ranks, read_in_file_order
 
 
 def _per_root_starts(keys64, *, start_depth, capacity, max_depth=MAX_DEPTH):
@@ -144,10 +144,10 @@ class TestTrieIndex:
         assert ctrie.n_leaves > ctree.n_leaves
         assert ctrie.fill_factor < ctree.fill_factor
 
-    def test_leaf_members_share_prefix(self, spark, ctrie):
+    def test_leaf_members_share_prefix(self, ctrie):
         """A leaf is a trie node: no key in any other leaf shares the
         longest common prefix of its members."""
-        pdf = spark.read.parquet(f"{ctrie.path}/leaves").select("rank", "zkey").toPandas()
+        pdf = read_in_file_order(f"{ctrie.path}/leaves", ["zkey"])
         total_bits = 8 * len(pdf["zkey"].iloc[0])
         keys = [int.from_bytes(z, "big") for z in pdf["zkey"]]
         leaf = leaf_of(ctrie.directory["leaf_id"].to_numpy(), pdf["rank"].to_numpy()).tolist()
@@ -182,13 +182,13 @@ class TestTrieIndex:
         """Compaction makes CTrie construction slower than CTree (§5.1)."""
         assert ctrie.build_disk.seconds() > ctree.build_disk.seconds()
 
-    def test_trie_leaves_map_to_isax_nodes(self, spark, ctrie):
+    def test_trie_leaves_map_to_isax_nodes(self, ctrie):
         """Each leaf's (depth,prefix) is an iSAX node: members agree on
         prefix_key at every whole-symbol-resolution up to the leaf depth."""
-        pdf = spark.read.parquet(f"{ctrie.path}/leaves").select("rank", "zkey").toPandas()
+        pdf = read_in_file_order(f"{ctrie.path}/leaves", ["zkey"])
         pdf["leaf"] = leaf_of(ctrie.directory["leaf_id"].to_numpy(), pdf["rank"].to_numpy())
         w, bits = ctrie.w, ctrie.bits
-        for lid, grp in pdf.sort_values("rank").groupby("leaf"):
+        for lid, grp in pdf.groupby("leaf"):
             zk = list(grp["zkey"])
             if len(zk) < 2:
                 continue

@@ -8,11 +8,8 @@ three tree leaves and cannot be split by the trie) and one all-NaN
 series.  The NaN series gets the top symbol in every segment; it is
 indexed but, at distance NaN, never returned as an answer.
 """
-import os
-
 import numpy as np
 import pandas as pd
-import pyarrow.parquet as pq
 import pytest
 
 from repro.baselines.brute_force import exact_nn_numpy
@@ -22,7 +19,7 @@ from repro.core.coconut_trie import build_coconut_trie
 from repro.core.query import exact_search
 from repro.core.zorder import first64, zkeys
 from repro.synth_data import series_matrix
-from tests.conftest import LENGTH, assert_leaves_tile_ranks
+from tests.conftest import LENGTH, assert_leaves_tile_ranks, read_in_file_order
 
 N_WALKS, CAP = 300, 20
 N_CONST = 3 * CAP + 1
@@ -59,9 +56,10 @@ def edge_index(edge_case, spark, edge_mat, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def leaf_ranks(spark, edge_index) -> pd.DataFrame:
-    """Each record's rank and the leaf the directory puts it in."""
-    pdf = spark.read.parquet(f"{edge_index.path}/leaves").select("rank").toPandas()
+def leaf_ranks(edge_index) -> pd.DataFrame:
+    """Each record's rank (its position in the leaf file) and the leaf
+    the directory puts it in."""
+    pdf = read_in_file_order(f"{edge_index.path}/leaves", ["id"])
     pdf["leaf"] = leaf_of(edge_index.directory["leaf_id"].to_numpy(), pdf["rank"].to_numpy())
     return pdf
 
@@ -121,10 +119,10 @@ def test_constant_series_found_at_distance_zero(edge_index):
 ])
 def test_fewer_series_than_range_partitions(spark, tmp_path, queries, variant, mode, n):
     """N below the leaf capacity, and below the sort's range partition
-    count, so some partitions are empty or absent: ranks are still
-    0..N-1 in file order.  The tree holds them in one leaf at rank 0;
-    the trie starts a leaf at rank 0 and wherever the first-level
-    subtree (the first ``w`` key bits) changes."""
+    count, so some partitions are empty or absent: the part files, in
+    name order, still hold all N records in z-key order.  The tree holds
+    them in one leaf at rank 0; the trie starts a leaf at rank 0 and
+    wherever the first-level subtree (the first ``w`` key bits) changes."""
     mat = series_matrix(n_series=n, length=LENGTH, kind="walk", seed=7)
     df = spark.createDataFrame(
         pd.DataFrame({"id": np.arange(n), "series": list(mat)}),
@@ -134,10 +132,8 @@ def test_fewer_series_than_range_partitions(spark, tmp_path, queries, variant, m
         spark, df, path=str(tmp_path / "idx"), w=8, bits=4, leaf_capacity=CAP,
         materialized=mode == "materialized",
     )
-    leaves = f"{idx.path}/leaves"
-    parts = sorted(f for f in os.listdir(leaves) if f.endswith(".parquet"))
-    ranks = np.concatenate([pq.read_table(f"{leaves}/{f}", columns=["rank"])["rank"] for f in parts])
-    assert list(ranks) == list(range(n))
+    keys = list(read_in_file_order(f"{idx.path}/leaves", ["zkey"])["zkey"])
+    assert keys == sorted(zkeys(mat, 8, 4))
     if variant == "tree":
         starts = [0]
     else:

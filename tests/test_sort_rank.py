@@ -1,4 +1,5 @@
-"""Unit tests for the distributed global sort + rank."""
+"""Unit tests for the distributed global sort; a rank is a position in
+the written file."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -6,7 +7,7 @@ from pyspark.sql import functions as F
 
 from repro.core.sort_rank import global_sort_with_rank
 from repro.oracle import assert_equivalent
-from tests.conftest import jobs_under_group, persisted_rdds
+from tests.conftest import jobs_under_group, persisted_rdds, read_in_file_order
 
 
 def _df(spark, n=200, seed=0):
@@ -18,50 +19,46 @@ def _df(spark, n=200, seed=0):
     return spark.createDataFrame(pdf), pdf
 
 
+def _written(out, release, path) -> pd.DataFrame:
+    """Write the sorted frame as the builders write the leaves, release
+    it, and read the file back in part-file order: a record's rank is
+    its row position."""
+    out.write.parquet(str(path))
+    release()
+    return read_in_file_order(str(path))
+
+
 class TestGlobalSortWithRank:
-    def test_ranks_are_dense(self, spark):
+    def test_ranks_are_dense(self, spark, tmp_path):
+        """The file holds every record once, so positions 0..N-1 name
+        each record exactly once."""
         df, _ = _df(spark)
-        out, release = global_sort_with_rank(df, "key")
-        ranks = sorted(r["rank"] for r in out.select("rank").collect())
-        assert ranks == list(range(200))
-        release()
+        got = _written(*global_sort_with_rank(df, "key"), tmp_path / "out")
+        assert sorted(got["id"]) == list(range(200))
 
-    def test_rank_order_matches_key_order(self, spark):
+    def test_rank_order_matches_key_order(self, spark, tmp_path):
         df, pdf = _df(spark, seed=1)
-        out, release = global_sort_with_rank(df, "key")
-        got = out.toPandas().sort_values("rank")
+        got = _written(*global_sort_with_rank(df, "key"), tmp_path / "out")
         assert list(got["key"]) == sorted(pdf["key"])
-        release()
 
-    def test_matches_sql_row_number_oracle(self, spark):
+    def test_matches_sql_row_number_oracle(self, spark, tmp_path):
         df, pdf = _df(spark, seed=2)
-        out, release = global_sort_with_rank(df, "key")
+        got = _written(*global_sort_with_rank(df, "key"), tmp_path / "out")
         assert_equivalent(
-            out.select("id", "key", "rank"),
+            spark.createDataFrame(got[["id", "key", "rank"]]),
             "SELECT id, key, row_number() OVER (ORDER BY key, id) - 1 AS rank FROM t",
             t=pdf,
         )
-        release()
 
-    def test_duplicate_keys_tiebroken_by_id(self, spark):
+    def test_duplicate_keys_tiebroken_by_id(self, spark, tmp_path):
         pdf = pd.DataFrame({"id": [3, 1, 2, 0], "key": ["a", "a", "a", "a"]})
         out, release = global_sort_with_rank(spark.createDataFrame(pdf), "key")
-        assert list(out.toPandas().sort_values("rank")["id"]) == [0, 1, 2, 3]
-        release()
+        assert list(_written(out, release, tmp_path / "out")["id"]) == [0, 1, 2, 3]
 
-    def test_stable_across_recomputation(self, spark):
-        """Ranks are read off the persisted sorted partitions, so two
-        actions see identical ranks."""
-        df, _ = _df(spark, seed=3)
-        out, release = global_sort_with_rank(df, "key")
-        a = out.toPandas().sort_values("id")["rank"].to_numpy()
-        b = out.toPandas().sort_values("id")["rank"].to_numpy()
-        assert np.array_equal(a, b)
-        release()
-
-    def test_input_evaluated_once(self, spark):
+    def test_input_evaluated_once(self, spark, tmp_path):
         """The input is persisted before the range sampler scans it, so
-        the shuffle reads the cache: each input row is produced once."""
+        the shuffle reads the cache: each input row is produced once
+        through the write."""
         df, _ = _df(spark, n=300, seed=6)
         produced = spark.sparkContext.accumulator(0)
 
@@ -71,32 +68,30 @@ class TestGlobalSortWithRank:
                 yield pdf
 
         out, release = global_sort_with_rank(df.mapInPandas(count_rows, df.schema), "key")
-        out.select("rank").collect()
-        release()
+        assert len(_written(out, release, tmp_path / "out")) == 300
         assert produced.value == 300
 
-    def test_release_drops_every_cache(self, spark):
-        """Only the sorted partitions stay persisted, until the release."""
+    def test_release_drops_every_cache(self, spark, tmp_path):
+        """Only the input stays persisted, until the release."""
         df, _ = _df(spark)
         before = persisted_rdds(spark)
         out, release = global_sort_with_rank(df, "key")
+        out.write.parquet(str(tmp_path / "out"))
         assert persisted_rdds(spark) == before + 1
-        out.collect()
         release()
         assert persisted_rdds(spark) == before
 
     def test_schema_keeps_all_columns(self, spark):
         df, _ = _df(spark)
         out, release = global_sort_with_rank(df, "key")
-        assert set(out.columns) == {"id", "key", "rank"}
+        assert set(out.columns) == {"id", "key"}
         release()
 
-    def test_small_input_fewer_rows_than_partitions(self, spark):
+    def test_small_input_fewer_rows_than_partitions(self, spark, tmp_path):
         """Two rows over one range partition per core (at least two)."""
         pdf = pd.DataFrame({"id": [0, 1], "key": ["b", "a"]})
         out, release = global_sort_with_rank(spark.createDataFrame(pdf), "key")
-        assert list(out.toPandas().sort_values("rank")["id"]) == [1, 0]
-        release()
+        assert list(_written(out, release, tmp_path / "out")["id"]) == [1, 0]
 
     def test_does_not_mutate_input_schema(self, spark):
         df, _ = _df(spark)
@@ -129,7 +124,7 @@ class TestBuildJobs:
     behind (a leaked one would grow across repeated builds unseen)."""
 
     @pytest.mark.parametrize("materialized", [False, True], ids=["secondary", "materialized"])
-    @pytest.mark.parametrize("variant,max_jobs", [("tree", 8), ("trie", 8)])
+    @pytest.mark.parametrize("variant,max_jobs", [("tree", 6), ("trie", 6)])
     def test_build_jobs_bounded_and_caches_released(
         self, spark, tmp_path, variant, max_jobs, materialized
     ):
@@ -155,34 +150,29 @@ class TestBinaryKeys:
 
     FIRST_BYTES = [0x00, 0x01, 0x7E, 0x7F, 0x80, 0x81, 0xFE, 0xFF]
 
-    def _ranked(self, spark):
+    def _sorted(self, spark):
         keys = [bytes([a, b]) for a in self.FIRST_BYTES for b in (0x00, 0x7F, 0x80, 0xFF)]
         order = np.random.default_rng(5).permutation(len(keys))
         pdf = pd.DataFrame({"id": np.arange(len(keys)), "zkey": [keys[i] for i in order]})
         return global_sort_with_rank(spark.createDataFrame(pdf, "id long, zkey binary"), "zkey")
 
-    def test_rank_order_is_unsigned_byte_order(self, spark):
-        out, release = self._ranked(spark)
-        pdf = out.toPandas().sort_values("rank")
-        got = [bytes(z) for z in pdf["zkey"]]
+    def test_rank_order_is_unsigned_byte_order(self, spark, tmp_path):
+        pdf = _written(*self._sorted(spark), tmp_path / "leaves")
+        got = list(pdf["zkey"])
         assert got == sorted(got)
         assert got[0][0] == 0x00 and got[-1][0] == 0xFF
-        release()
 
     def test_directory_ranges_follow_unsigned_order(self, spark, tmp_path):
         from repro.core.coconut_common import directory_from_summaries
 
-        out, release = self._ranked(spark)
-        out.write.parquet(str(tmp_path / "leaves"))
+        pdf = _written(*self._sorted(spark), tmp_path / "leaves")
         d, _ = directory_from_summaries(
             str(tmp_path / "leaves"), lambda zkey: np.arange(0, len(zkey), 5)
         )
-        pdf = out.toPandas()
         for _, row in d.iterrows():
-            grp = [bytes(z) for z in pdf.loc[pdf["rank"] // 5 * 5 == row["leaf_id"], "zkey"]]
+            grp = list(pdf.loc[pdf["rank"] // 5 * 5 == row["leaf_id"], "zkey"])
             assert bytes(row["min_zkey"]) == min(grp)
             assert bytes(row["max_zkey"]) == max(grp)
         mins, maxs = [bytes(z) for z in d["min_zkey"]], [bytes(z) for z in d["max_zkey"]]
         assert mins == sorted(mins)
         assert all(hi < lo for hi, lo in zip(maxs, mins[1:]))
-        release()

@@ -7,15 +7,15 @@ from repro.core.coconut_tree import build_coconut_tree, merge_batch
 from repro.core.query import exact_search
 from repro.storage.disk_model import DiskConfig
 from repro.synth_data import query_workload, series_collection, series_matrix
+from tests.conftest import read_in_file_order
 
 
 class TestMergeBatch:
     def test_count_grows(self, merged_index):
         assert merged_index.n_series == 210
 
-    def test_still_sorted(self, spark, merged_index):
-        leaves = spark.read.parquet(f"{merged_index.path}/leaves")
-        pdf = leaves.select("rank", "zkey").toPandas().sort_values("rank")
+    def test_still_sorted(self, merged_index):
+        pdf = read_in_file_order(f"{merged_index.path}/leaves", ["zkey"])
         assert list(pdf["zkey"]) == sorted(pdf["zkey"])
 
     def test_still_balanced(self, merged_index):
