@@ -22,7 +22,7 @@ def main(n_series: int = 2000) -> None:
         spark, total_series=n_series, batch_sizes=(n_series // 20, n_series // 4),
         length=128, w=8, bits=8, leaf_capacity=100, workdir=wd,
     )
-    print(format_rows(rows, ["system", "batch", "n_batches", "sim_s"],
+    print(format_rows(rows, ["system", "batch", "n_batches", "sim_s", "wall_s"],
                       "\n== Fig 10a: interleaved updates & queries =="))
     for kind, label in (("astro", "10b astronomy-like"), ("seismic", "10c seismic-like")):
         rows = complete_workload(

@@ -34,6 +34,7 @@ rank vs a prefix boundary) and in construction cost accounting.
 from __future__ import annotations
 
 import os
+import shutil
 from dataclasses import dataclass
 from typing import Callable
 
@@ -234,3 +235,90 @@ def write_index_files(
         if raw_df is None:
             raise ValueError("secondary index requires the raw series DataFrame")
         raw_df.select("id", "series").write.mode("overwrite").parquet(f"{path}/raw")
+
+
+# Records read, merged and written at a time by the merge.  Each chunk
+# is one row group of the output, and a Parquet writer holds its row
+# group in memory until it is closed, so the chunk bounds the merge's
+# driver memory: 256 series of length 128 are 256 KB.
+MERGE_CHUNK_ROWS = 256
+
+
+def _order_keys(zkey: pa.ChunkedArray | pa.Array, ids: pa.ChunkedArray | pa.Array) -> np.ndarray:
+    """Each record's sort key ``(zkey, id)`` as one fixed-width bytes
+    value: the z-key, then the id big-endian with its sign bit flipped.
+    Byte order of these values is the order of Spark's sort by
+    (``zkey``, ``id``), so numpy can sort and search them."""
+    if not len(ids):
+        return np.array([], dtype="S1")
+    z = np.frombuffer(b"".join(zkey.to_pylist()), np.uint8).reshape(len(ids), -1)
+    flipped = np.asarray(ids, dtype=np.int64).view(np.uint64) ^ np.uint64(1 << 63)
+    i = flipped.astype(">u8").view(np.uint8).reshape(-1, 8)
+    both = np.ascontiguousarray(np.hstack([z, i]))
+    return both.view(f"S{both.shape[1]}").ravel()
+
+
+def _link_or_copy(src: str, dst: str) -> None:
+    """Share a file the new index reuses unchanged; copy it where the
+    filesystem cannot hard-link."""
+    try:
+        os.link(src, dst)
+    except OSError:
+        shutil.copyfile(src, dst)
+
+
+def merge_index_files(old: str, batch: pa.Table, path: str, *, materialized: bool) -> None:
+    """Write the index files of the index at ``old`` merged with
+    ``batch`` (``id, zkey, series`` records, in arrival order) to
+    ``path``: the streaming merge of two sorted runs.
+
+    The batch is sorted in memory by (``zkey``, ``id``).  The old leaf
+    file is streamed part file by part file, in name order (empty part
+    files are skipped), ``MERGE_CHUNK_ROWS`` records at a time.  Each
+    part becomes one output part file, ``part-NNNNN.parquet``, holding
+    its records and the batch records that sort after the previous
+    part's last record and up to its own last one; the last part also
+    takes every batch record after it.  So the output's part files, in
+    name order, again hold ranks 0..N-1.
+    Secondary indexes get a ``raw`` directory of the old raw part files,
+    shared or copied, followed by one part file of the batch's series in
+    arrival order.  Nothing is read through Spark, and nothing is
+    dictionary-encoded: keys and series are near-unique.
+    """
+    parts = []
+    for f in _part_files(f"{old}/leaves"):
+        with pq.ParquetFile(f) as pf:
+            if pf.metadata.num_rows:
+                parts.append(f)
+    schema = pq.read_schema(parts[0])
+    new_keys = _order_keys(batch.column("zkey"), batch.column("id"))
+    order = np.argsort(new_keys)
+    new, new_keys = batch.select(schema.names).cast(schema).take(order), new_keys[order]
+    os.makedirs(f"{path}/leaves")
+    taken = 0
+    for j, f in enumerate(parts):
+        with pq.ParquetFile(f) as pf, pq.ParquetWriter(
+            f"{path}/leaves/part-{j:05d}.parquet", schema, use_dictionary=False
+        ) as out:
+            for rb in pf.iter_batches(batch_size=MERGE_CHUNK_ROWS, use_threads=False):
+                run = pa.Table.from_batches([rb])
+                keys = _order_keys(run.column("zkey"), run.column("id"))
+                upto = int(np.searchsorted(new_keys, keys[-1], side="right"))
+                if upto > taken:
+                    at = np.argsort(np.concatenate([keys, new_keys[taken:upto]]), kind="stable")
+                    run = pa.concat_tables([run, new.slice(taken, upto - taken)]).take(at)
+                    taken = upto
+                out.write_table(run)
+            if j == len(parts) - 1 and taken < len(new):
+                out.write_table(new.slice(taken))
+    if not materialized:
+        raw = f"{path}/raw"
+        os.makedirs(raw)
+        old_raw = _part_files(f"{old}/raw")
+        for i, f in enumerate(old_raw):
+            _link_or_copy(f, f"{raw}/part-{i:05d}.parquet")
+        if len(batch):
+            pq.write_table(
+                batch.select(["id", "series"]).cast(pq.read_schema(old_raw[0])),
+                f"{raw}/part-{len(old_raw):05d}.parquet", use_dictionary=False,
+            )

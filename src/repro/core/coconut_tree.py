@@ -18,9 +18,10 @@ Pipeline (the paper's lines map directly onto Spark stages):
 
 ``materialized=True`` is Coconut-Tree-Full (series stored in the
 leaves); otherwise the leaves hold ids and a stand-in raw file is
-written.  ``merge_batch`` is the bulk-update path of Fig 10a: it
-rebuilds the index over the old series plus the batch, and charges the
-sequential cost of a streaming merge (a real merge is ROADMAP item 5).
+written.  ``merge_batch`` is the bulk-update path of Fig 10a (§4.3): it
+summarizes only the batch, sorts it in driver memory, and stream-merges
+it into the old sorted run, which is read once and never re-summarized
+or re-sorted; it is charged as that streaming merge.
 """
 from __future__ import annotations
 
@@ -29,15 +30,16 @@ from typing import Iterator
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.coconut_common import (
     CoconutIndex,
     directory_from_summaries,
+    merge_index_files,
     write_index_files,
 )
-from repro.core.sort_rank import global_sort_with_rank
+from repro.core.sort_rank import global_sort_with_rank, wave_partitions
 from repro.core.zorder import zkeys
 from repro.storage.disk_model import DiskConfig, DiskModel, external_sort_cost
 
@@ -47,7 +49,10 @@ def summarize_series(series_df: DataFrame, w: int, bits: int, *, keep_series: bo
 
     The one summarization pass of both Coconut variants: a single scan of
     the raw data computing each series' invSAX key, a fixed-width
-    ``binary`` value that also encodes its SAX word.
+    ``binary`` value that also encodes its SAX word.  The input is
+    coalesced to one partition per core (:func:`wave_partitions`), so
+    the Python tasks, each with a fixed start-up cost far above its
+    summarizing work at these sizes, run as a single wave.
     """
 
     schema = "id long, zkey binary"
@@ -66,7 +71,11 @@ def summarize_series(series_df: DataFrame, w: int, bits: int, *, keep_series: bo
                 out["series"] = list(pdf["series"])
             yield pd.DataFrame(out)
 
-    return series_df.select("id", "series").mapInPandas(compute, schema=schema)
+    return (
+        series_df.select("id", "series")
+        .coalesce(wave_partitions(series_df))
+        .mapInPandas(compute, schema=schema)
+    )
 
 
 def _series_length(series_df: DataFrame, w: int) -> int:
@@ -105,6 +114,12 @@ def charge_tree_build(
         disk.seq_write(max(1, -(-n // c.summaries_per_block)))  # leaf level
 
 
+def _median_leaf_starts(leaf_capacity: int):
+    """A leaf starts at every ``leaf_capacity``-th rank: median splits
+    of a sorted run, so every leaf but the last is full."""
+    return lambda zkey: np.arange(0, len(zkey), leaf_capacity)
+
+
 def build_coconut_tree(
     spark: SparkSession,
     series_df: DataFrame,
@@ -131,7 +146,7 @@ def build_coconut_tree(
     finally:
         release()
     directory, row_groups = directory_from_summaries(
-        f"{path}/leaves", lambda zkey: np.arange(0, len(zkey), leaf_capacity)
+        f"{path}/leaves", _median_leaf_starts(leaf_capacity)
     )
     n = int(directory["count"].sum())
     charge_tree_build(disk, n, materialized=materialized)
@@ -156,39 +171,46 @@ def merge_batch(
     index: CoconutIndex, batch_df: DataFrame, *, path: str | None = None
 ) -> CoconutIndex:
     """Bulk-update (Fig 10a; the LSM-flavored path the paper motivates):
-    the old series and the batch are rebuilt into a new index through
-    :func:`build_coconut_tree`, which re-sorts all of them.
+    merge the batch ``batch_df`` (id, series) into ``index`` as a new
+    index at ``path``, and close ``index``.
 
-    The sim cost charged is that of a streaming merge, not the rebuild:
-    summarize the batch, sort it, then stream-merge old index + new run.
-    Contrast with ADS top-down inserts, which pay a random I/O per touched
-    leaf.  Making the wall-clock path the merge it is charged as is
-    ROADMAP item 5.
+    Only the batch is summarized, in one Spark job that collects its
+    records to the driver.  There :func:`merge_index_files` sorts them by
+    (``zkey``, ``id``), the paper's in-memory batch buffer, streams the
+    old sorted run from the leaf file and merges the two, so the merged
+    file holds the records a rebuild over old plus batch would, in the
+    same order.  A batch whose series are not ``index.length`` long is a
+    ``ValueError``, raised on the driver before anything is written.
+
+    The sim cost charged is that streaming merge: summarize the batch,
+    sort it, then stream old index + new run in and the merged run out.
+    Contrast with ADS top-down inserts, which pay a random I/O per
+    touched leaf.
     """
-    spark = batch_df.sparkSession
+    t0 = time.perf_counter()
     new_path = path or f"{index.path}__merged"
-    # Existing series: reconstruct the raw input (ids + series) from the
-    # index files, union with the batch, rebuild via the same bulk path.
-    if index.materialized:
-        old_raw = spark.read.parquet(f"{index.path}/leaves").select("id", "series")
-    else:
-        old_raw = spark.read.parquet(f"{index.path}/raw")
-    all_raw = old_raw.unionByName(batch_df.select("id", "series"))
-    merged = build_coconut_tree(
-        spark,
-        all_raw,
-        path=new_path,
-        w=index.w,
-        bits=index.bits,
-        leaf_capacity=index.leaf_capacity,
-        materialized=index.materialized,
-        disk_config=index.disk_config,
+    # Count wrong-length series as the batch is scanned, and keep them
+    # out of the summarizer, so a bad batch fails here, not in a worker.
+    lengths, size = Observation(), F.size("series")
+    fits = F.coalesce(size == index.length, F.lit(False))
+    checked = batch_df.observe(
+        lengths, F.count_if(~fits).alias("bad"), F.min(size).alias("lo"), F.max(size).alias("hi")
+    ).where(fits)
+    batch = summarize_series(checked, index.w, index.bits, keep_series=True).toArrow()
+    seen = lengths.get
+    if seen["bad"]:
+        raise ValueError(
+            f"{seen['bad']} batch series are not of length {index.length}, the "
+            f"index's (batch lengths {seen['lo']}..{seen['hi']})"
+        )
+    merge_index_files(index.path, batch, new_path, materialized=index.materialized)
+    directory, row_groups = directory_from_summaries(
+        f"{new_path}/leaves", _median_leaf_starts(index.leaf_capacity)
     )
-    # Replace the generic build charge with the merge cost: the batch is
-    # scanned+sorted, the old run is streamed in, the merged run streamed
-    # out — no random I/O.
+    # The merge cost: the batch is scanned+sorted, the old run is
+    # streamed in, the merged run streamed out — no random I/O.
     n_old = index.n_series
-    b = merged.n_series - n_old
+    b = int(directory["count"].sum()) - n_old
     disk = DiskModel(config=index.disk_config)
     c = index.disk_config
     per_block = c.block_series if index.materialized else c.summaries_per_block
@@ -201,6 +223,18 @@ def merge_batch(
     disk.cpu_summarize(b)
     disk.cpu_sort(b)
     disk.charge_cpu((n_old + b) * c.cpu_sort_item_s)          # merge pass
-    merged.build_disk = disk
     index.close()
-    return merged
+    return CoconutIndex(
+        path=new_path,
+        w=index.w,
+        bits=index.bits,
+        length=index.length,
+        leaf_capacity=index.leaf_capacity,
+        materialized=index.materialized,
+        n_series=n_old + b,
+        directory=directory,
+        row_groups=row_groups,
+        build_disk=disk,
+        disk_config=c,
+        build_wall_s=time.perf_counter() - t0,
+    )

@@ -21,6 +21,12 @@ from typing import Callable
 from pyspark.sql import DataFrame
 
 
+def wave_partitions(df: DataFrame) -> int:
+    """One partition per core, at least two: the partition count at
+    which a stage runs as a single wave of tasks."""
+    return max(2, df.sparkSession.sparkContext.defaultParallelism)
+
+
 def global_sort_with_rank(df: DataFrame, key: str) -> tuple[DataFrame, Callable[[], object]]:
     """Sort ``df`` globally by (``key``, ``id``).
 
@@ -33,7 +39,6 @@ def global_sort_with_rank(df: DataFrame, key: str) -> tuple[DataFrame, Callable[
     checks the key order.  The sort runs in one range partition per core
     (at least two).
     """
-    num_partitions = max(2, df.sparkSession.sparkContext.defaultParallelism)
     source = df.persist()
-    ordered = source.repartitionByRange(num_partitions, key, "id").sortWithinPartitions(key, "id")
+    ordered = source.repartitionByRange(wave_partitions(df), key, "id").sortWithinPartitions(key, "id")
     return ordered, source.unpersist

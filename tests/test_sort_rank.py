@@ -143,6 +143,18 @@ class TestBuildJobs:
         assert len(jobs) <= max_jobs
         assert persisted_rdds(spark) == before
 
+    def test_summarizer_runs_one_wave(self, spark):
+        """The summarizer's Python tasks, each with a fixed start-up cost,
+        run one per core (at least two), not one per input partition."""
+        from repro.core.coconut_tree import summarize_series
+        from repro.synth_data import series_collection
+
+        df = series_collection(spark, n_series=400, length=64, seed=1)
+        assert df.rdd.getNumPartitions() == 8
+        cores = max(2, spark.sparkContext.defaultParallelism)
+        summaries = summarize_series(df, 8, 4, keep_series=False)
+        assert summaries.rdd.getNumPartitions() <= cores
+
 
 class TestBinaryKeys:
     """Z-keys are ``binary``: Spark must order them as unsigned bytes, as

@@ -1,13 +1,41 @@
 """Tests for Coconut-Tree bulk updates (merge_batch, Fig 10a substrate)."""
+import os
+
 import numpy as np
+import pandas as pd
+import pyarrow.parquet as pq
 import pytest
 
 from repro.baselines.brute_force import exact_nn_numpy
+from repro.core import coconut_common
 from repro.core.coconut_tree import build_coconut_tree, merge_batch
 from repro.core.query import exact_search
 from repro.storage.disk_model import DiskConfig
 from repro.synth_data import query_workload, series_collection, series_matrix
-from tests.conftest import read_in_file_order
+from tests.conftest import jobs_under_group, read_in_file_order
+
+LENGTH, KW = 64, dict(w=8, bits=4, leaf_capacity=20)
+OLD_ID0 = 1000  # old series' first id; batches take ids below and above
+CHUNK = 16  # records the merge streams at a time, so parts span chunks
+
+
+def _frame(spark, ids, mat):
+    return spark.createDataFrame(
+        pd.DataFrame({"id": np.asarray(ids, dtype=np.int64), "series": list(mat)}),
+        "id long, series array<double>",
+    )
+
+
+def _spread_with_empty_parts(leaves: str) -> None:
+    """Rename the leaf file's part files to odd numbers, in name order,
+    and put an empty part file before, between and after them: a leaf
+    file whose part files, in name order, still hold ranks 0..N-1."""
+    parts = sorted(f for f in os.listdir(leaves) if f.endswith(".parquet"))
+    schema = pq.read_schema(os.path.join(leaves, parts[0]))
+    for i, f in enumerate(parts):
+        os.rename(os.path.join(leaves, f), os.path.join(leaves, f"part-{2 * i + 1:05d}.parquet"))
+    for i in range(len(parts) + 1):
+        pq.write_table(schema.empty_table(), os.path.join(leaves, f"part-{2 * i:05d}.parquet"))
 
 
 class TestMergeBatch:
@@ -51,3 +79,101 @@ class TestMergeBatch:
             costs.append(merged.build_disk.seconds())
             merged.close()
         assert costs[1] > costs[0]
+
+
+class TestMergeEqualsRebuild:
+    """A merged index holds what a fresh build over the old series plus
+    the batch holds: the same records, in the same order, under the same
+    directory; a secondary index's raw file is the old one followed by
+    the batch."""
+
+    CASES = ("boundary_copies", "empty_batch", "empty_old_parts")
+
+    @pytest.mark.parametrize("materialized", [False, True], ids=["secondary", "materialized"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_merge_equals_rebuild(self, spark, tmp_path, monkeypatch, case, materialized):
+        monkeypatch.setattr(coconut_common, "MERGE_CHUNK_ROWS", CHUNK)
+        n_old = 3 if case == "empty_old_parts" else 150
+        old_mat = series_matrix(n_series=n_old, length=LENGTH, seed=41)
+        old_ids = OLD_ID0 + np.arange(n_old)
+        old_df = _frame(spark, old_ids, old_mat)
+        old = build_coconut_tree(
+            spark, old_df, path=str(tmp_path / "old"), materialized=materialized, **KW
+        )
+        leaves = f"{old.path}/leaves"
+        if case == "boundary_copies":
+            # Copies, under new ids, of the first and last series of each
+            # old part file and of each chunk the merge streams: equal
+            # z-keys on both sides of every part and chunk boundary,
+            # ordered by id.  A first series' copy has a lower id than
+            # it, a last series' copy a higher one.
+            firsts, lasts = [], []
+            for f in sorted(x for x in os.listdir(leaves) if x.endswith(".parquet")):
+                part_ids = pq.read_table(os.path.join(leaves, f), columns=["id"]).column(0).to_numpy()
+                starts = np.arange(0, len(part_ids), CHUNK)
+                firsts += part_ids[starts].tolist()
+                lasts += part_ids[np.append(starts[1:], len(part_ids)) - 1].tolist()
+            assert len(firsts) > 4, "the old leaf file needs part and chunk boundaries"
+            batch_ids = np.concatenate([np.arange(len(firsts)), 2 * OLD_ID0 + np.arange(len(lasts))])
+            batch_mat = old_mat[np.asarray(firsts + lasts) - OLD_ID0]
+        elif case == "empty_batch":
+            batch_ids, batch_mat = np.arange(0), np.empty((0, LENGTH))
+        else:
+            _spread_with_empty_parts(leaves)
+            batch_ids = np.arange(40)
+            batch_mat = series_matrix(n_series=40, length=LENGTH, seed=41, id_offset=n_old)
+        batch_df = _frame(spark, batch_ids, batch_mat)
+        old_raw = None if materialized else read_in_file_order(f"{old.path}/raw", ["id"])
+
+        merged = merge_batch(old, batch_df, path=str(tmp_path / "merged"))
+        rebuilt = build_coconut_tree(
+            spark, old_df.unionByName(batch_df), path=str(tmp_path / "rebuilt"),
+            materialized=materialized, **KW,
+        )
+        got = read_in_file_order(f"{merged.path}/leaves")
+        want = read_in_file_order(f"{rebuilt.path}/leaves")
+        assert list(got.columns) == list(want.columns)
+        assert got["id"].tolist() == want["id"].tolist()
+        assert got["zkey"].tolist() == want["zkey"].tolist()
+        if materialized:
+            assert np.array_equal(np.stack(got["series"]), np.stack(want["series"]))
+        else:
+            raw = read_in_file_order(f"{merged.path}/raw", ["id"])
+            assert raw["id"].tolist() == old_raw["id"].tolist() + batch_ids.tolist()
+        assert merged.n_series == rebuilt.n_series == n_old + len(batch_ids)
+        pd.testing.assert_frame_equal(merged.directory, rebuilt.directory)
+        merged.load_summaries()  # the file holds ranks 0..N-1 in file order
+        merged.close()
+        rebuilt.close()
+
+
+class TestMergeInput:
+    def test_merge_starts_one_spark_job(self, spark, tmp_path):
+        """Only the batch is summarized, in the one job that collects it;
+        the old run is streamed from its file, not through Spark."""
+        old = build_coconut_tree(
+            spark, series_collection(spark, n_series=200, length=LENGTH, seed=51),
+            path=str(tmp_path / "old"), materialized=True, **KW,
+        )
+        batch = series_collection(spark, n_series=50, length=LENGTH, seed=51, id_offset=200)
+        out = []
+        jobs = jobs_under_group(spark, "merge-batch", lambda: out.append(
+            merge_batch(old, batch, path=str(tmp_path / "merged"))
+        ))
+        assert out[0].n_series == 250
+        assert len(jobs) <= 1
+        out[0].close()
+
+    @pytest.mark.parametrize("lengths", [(32,), (LENGTH, 32)], ids=["short", "mixed"])
+    def test_wrong_length_batch_raises_on_driver(self, spark, tmp_path, merged_index, lengths):
+        """A batch whose series are not the index's length is a
+        ``ValueError`` from ``merge_batch`` itself, not a worker failure,
+        and nothing is written."""
+        rows = [np.zeros(lengths[i % len(lengths)]) for i in range(6)]
+        batch = spark.createDataFrame(
+            pd.DataFrame({"id": 1000 + np.arange(6), "series": rows}),
+            "id long, series array<double>",
+        )
+        with pytest.raises(ValueError, match="length 64"):
+            merge_batch(merged_index, batch, path=str(tmp_path / "bad"))
+        assert not (tmp_path / "bad").exists()
