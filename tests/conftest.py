@@ -181,6 +181,14 @@ def rtree(ids, walk_mat, disk_cfg):
 
 
 @pytest.fixture(scope="session")
+def rtree_plus(ids, walk_mat, disk_cfg):
+    return RTreeIndex(
+        ids, walk_mat, w=W, leaf_capacity=CAPACITY, materialized=False,
+        disk_config=disk_cfg,
+    )
+
+
+@pytest.fixture(scope="session")
 def dstree(ids, walk_mat, disk_cfg):
     return DSTreeIndex(
         ids, walk_mat, w=W, leaf_capacity=CAPACITY, disk_config=disk_cfg

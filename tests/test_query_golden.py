@@ -8,11 +8,16 @@ the one-time summaries load (Algorithm 5 lines 3-4).  The ADS+ and
 ADSFull exact searches (SIMS seeded by the approximate answer) are
 pinned the same way, and so is what each Coconut build produced: its
 size, the directory's per-leaf counts and key ranges in directory order,
-and the build's ``DiskModel`` counters (leaf ids are not pinned).  A change to how the query path reads leaves, raw
-series or summaries, or to how the SIMS scan charges its blocks, must
-leave every figure here unchanged; only a deliberate cost-model change
-may update ``golden_query_counters.json`` (regenerate with ``collect``
-``collect_ads`` and ``collect_build``).
+and the build's ``DiskModel`` counters (leaf ids are not pinned).
+Every baseline (ADS+, ADSFull, R-tree, R-tree+, DSTree, Vertical) is
+pinned too: its build's leaf count, fill factor, index bytes and
+``DiskModel`` counters, and the answer and counters of its approximate
+and exact search of each query.  A change to how the query path reads
+leaves, raw series or summaries, to how the SIMS scan charges its
+blocks, or to how any index derives its block counts, must leave every
+figure here unchanged; only a deliberate cost-model change may update
+``golden_query_counters.json`` (regenerate with ``collect``,
+``collect_ads``, ``collect_build`` and ``collect_baseline``).
 """
 import json
 import shutil
@@ -105,4 +110,31 @@ def collect_build(index) -> dict:
 def test_build_results_unchanged(case, request):
     expected = json.loads(GOLDEN.read_text())["build"][case]
     got = collect_build(request.getfixturevalue(BUILD_FIXTURES[case]))
+    assert json.loads(json.dumps(got)) == expected
+
+
+BASELINES = ["ads_plus", "ads_full", "rtree", "rtree_plus", "dstree", "vertical"]
+
+
+def _search(r) -> dict:
+    return {"id": r.id, "distance": r.distance, "leaves_visited": r.leaves_visited,
+            "visited_records": r.visited_records, "disk": r.disk.snapshot()}
+
+
+def collect_baseline(index, queries) -> dict:
+    """A baseline's build stats and counters, then its approximate and
+    exact search of every query."""
+    return {
+        "build": {"n_leaves": index.n_leaves, "fill_factor": index.fill_factor,
+                  "index_bytes": index.index_bytes,
+                  "disk": index.build_disk.snapshot()},
+        "queries": [{"approx": _search(index.approximate(q)),
+                     "exact": _search(index.exact(q))} for q in queries],
+    }
+
+
+@pytest.mark.parametrize("case", BASELINES)
+def test_baseline_counters_unchanged(case, request, queries):
+    expected = json.loads(GOLDEN.read_text())["baselines"][case]
+    got = collect_baseline(request.getfixturevalue(case), queries)
     assert json.loads(json.dumps(got)) == expected
