@@ -17,17 +17,16 @@ DSTree is always materialized (series in leaves), as in the paper.
 """
 from __future__ import annotations
 
-import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.baselines.common import leaf_true_distances
+from repro.baselines.common import best_first_search, leaf_search
 from repro.core.paa import paa
 from repro.core.query import SearchResult
-from repro.storage.disk_model import DiskConfig, DiskModel, LRUPageBuffer
+from repro.storage.disk_model import DiskConfig, DiskModel, LeafStats, LRUPageBuffer
 
 _uid = itertools.count()
 
@@ -46,10 +45,9 @@ class _Node:
         return self.split_seg < 0
 
 
-class DSTreeIndex:
+class DSTreeIndex(LeafStats):
     """Simplified DSTree: adaptive mean-split tree, top-down insertion."""
 
-    name = "DSTree"
     materialized = True
 
     def __init__(
@@ -66,16 +64,16 @@ class DSTreeIndex:
         self.w = w
         self.leaf_capacity = leaf_capacity
         self.disk_config = disk_config or DiskConfig()
-        self.n, self.length = series.shape
+        self.n_series, self.length = series.shape
         self.paa = paa(series, w)  # segment means = EAPCA first moments
         self.build_disk = DiskModel(config=self.disk_config)
         c = self.disk_config
-        self.build_disk.seq_read(max(1, -(-self.n // c.block_series)))
-        self.build_disk.cpu_summarize(self.n)
-        self.build_disk.cpu_insert(self.n)
+        self.build_disk.seq_read(c.blocks(self.n_series, series=True))
+        self.build_disk.cpu_summarize(self.n_series)
+        self.build_disk.cpu_insert(self.n_series)
         self._buffer = LRUPageBuffer(self.build_disk, c.memory_series, leaf_capacity)
         self.root = _Node()
-        for i in range(self.n):
+        for i in range(self.n_series):
             self._insert(i)
         self._buffer.flush()
         self.build_wall_s = time.perf_counter() - t0
@@ -96,8 +94,7 @@ class DSTreeIndex:
         rows = np.array(node.rows)
         # Splitting requires the refined per-segment statistics of the
         # resident raw series: DSTree re-reads the node from disk.
-        c = self.disk_config
-        self.build_disk.rand_read(max(1, -(-len(rows) // c.block_series)))
+        self.build_disk.rand_read(self.disk_config.blocks(len(rows), series=True))
         means = self.paa[rows]  # (m, w)
         spreads = means.std(axis=0)
         j = int(np.argmax(spreads))
@@ -133,68 +130,18 @@ class DSTreeIndex:
     def n_leaves(self) -> int:
         return len(self._leaves())
 
-    @property
-    def fill_factor(self) -> float:
-        return self.n / (self.n_leaves * self.leaf_capacity)
-
-    @property
-    def index_bytes(self) -> int:
-        return self.n_leaves * self.leaf_capacity * self.disk_config.series_bytes
-
-    def _leaf_blocks(self) -> int:
-        return max(1, -(-self.leaf_capacity // self.disk_config.block_series))
-
     # -- queries -----------------------------------------------------------
-    def _leaf_bounds(self) -> tuple[list[_Node], np.ndarray, np.ndarray]:
-        leaves = self._leaves()
-        lo = np.stack([self.paa[l.rows].min(axis=0) for l in leaves])
-        hi = np.stack([self.paa[l.rows].max(axis=0) for l in leaves])
-        return leaves, lo, hi
-
-    def _mindists(self, q_paa: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        gap = np.maximum(lo - q_paa, 0) + np.maximum(q_paa - hi, 0)
-        return np.sqrt((self.length / self.w) * np.sum(gap**2, axis=1))
-
     def approximate(self, query: np.ndarray) -> SearchResult:
         t0 = time.perf_counter()
-        disk = DiskModel(config=self.disk_config)
         qp = paa(query, self.w)
         node = self.root
         while not node.is_leaf:
             node = node.left if qp[node.split_seg] <= node.split_val else node.right
-        disk.rand_read(self._leaf_blocks())
-        rows = np.array(node.rows, dtype=np.int64)
-        bid, bdist = leaf_true_distances(rows, self.series, self.ids, query)
-        return SearchResult(
-            id=bid, distance=bdist, leaves_visited=1, visited_records=len(rows),
-            approx_distance=bdist, disk=disk, wall_s=time.perf_counter() - t0,
-        )
+        return leaf_search(self, query, np.array(node.rows, dtype=np.int64), t0)
 
     def exact(self, query: np.ndarray) -> SearchResult:
-        t0 = time.perf_counter()
-        approx = self.approximate(query)
-        disk = DiskModel(config=self.disk_config)
-        disk.merge(approx.disk)
-        qp = paa(query, self.w)
-        leaves, lo, hi = self._leaf_bounds()
-        md = self._mindists(qp, lo, hi)
-        heap = [(float(md[i]), i) for i in range(len(leaves))]
-        heapq.heapify(heap)
-        bsf, bid = approx.distance, approx.id
-        visited, leaves_visited = 0, 0
-        while heap:
-            lb, k = heapq.heappop(heap)
-            if lb >= bsf:
-                break
-            leaves_visited += 1
-            disk.rand_read(self._leaf_blocks())
-            rows = np.array(leaves[k].rows, dtype=np.int64)
-            visited += len(rows)
-            cid, cdist = leaf_true_distances(rows, self.series, self.ids, query)
-            if cdist < bsf:
-                bsf, bid = cdist, cid
-        return SearchResult(
-            id=bid, distance=bsf, leaves_visited=leaves_visited,
-            visited_records=visited, approx_distance=approx.distance,
-            disk=disk, wall_s=time.perf_counter() - t0,
-        )
+        """Best-first NN over the leaves' segment-mean boxes."""
+        leaves = [np.array(l.rows, dtype=np.int64) for l in self._leaves()]
+        lo = np.stack([self.paa[rows].min(axis=0) for rows in leaves])
+        hi = np.stack([self.paa[rows].max(axis=0) for rows in leaves])
+        return best_first_search(self, query, leaves, lo, hi)

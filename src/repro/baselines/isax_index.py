@@ -30,12 +30,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.baselines.common import leaf_true_distances
+from repro.baselines.common import leaf_search
 from repro.core.mindist import mindist_paa_sax
 from repro.core.paa import paa
 from repro.core.query import SearchResult, sims_scan
 from repro.core.sax import breakpoints, sax, symbols_from_paa
-from repro.storage.disk_model import DiskConfig, DiskModel, LRUPageBuffer
+from repro.storage.disk_model import DiskConfig, DiskModel, LeafStats, LRUPageBuffer
 
 
 def node_mindist(
@@ -85,7 +85,7 @@ class _Internal:
     children: dict  # bit value (0/1) -> node
 
 
-class ISaxIndex:
+class ISaxIndex(LeafStats):
     """Top-down iSAX 2.0 / ADS index over a series collection."""
 
     def __init__(
@@ -98,7 +98,6 @@ class ISaxIndex:
         leaf_capacity: int = 100,
         materialized: bool = False,
         disk_config: DiskConfig | None = None,
-        name: str | None = None,
     ):
         self.ids = ids
         self.series = series
@@ -106,43 +105,33 @@ class ISaxIndex:
         self.leaf_capacity = leaf_capacity
         self.materialized = materialized
         self.disk_config = disk_config or DiskConfig()
-        self.name = name or ("ADSFull" if materialized else "ADS+")
         self.build_disk = DiskModel(config=self.disk_config)
-        self.n, self.length = series.shape
+        self.n_series, self.length = series.shape
         self._build()
 
     # -- construction ------------------------------------------------------
-    def _leaf_page_series(self) -> int:
-        """Allocated leaf page size in raw-series units for the LRU buffer."""
-        c = self.disk_config
-        if self.materialized:
-            return self.leaf_capacity
-        return max(1, -(-self.leaf_capacity * c.summary_bytes // c.series_bytes))
-
     def _occupied(self, rows: int) -> int:
-        """Occupied size of a leaf holding ``rows`` records, in
+        """Size of a leaf holding ``rows`` records, in
         raw-series-equivalents (what the buffer pool counts)."""
-        c = self.disk_config
-        if self.materialized:
-            return max(1, rows)
-        return max(1, -(-rows * c.summary_bytes // c.series_bytes))
+        return self.disk_config.series_equivalents(rows, series=self.materialized)
 
     def _build(self) -> None:
         t0 = time.perf_counter()
         c = self.disk_config
         disk = self.build_disk
-        disk.seq_read(max(1, -(-self.n // c.block_series)))  # summarization pass
-        disk.cpu_summarize(self.n)
-        disk.cpu_insert(self.n)
+        disk.seq_read(c.blocks(self.n_series, series=True))  # summarization pass
+        disk.cpu_summarize(self.n_series)
+        disk.cpu_insert(self.n_series)
         self.sax = sax(self.series, self.w, self.bits)
-        self._buffer = LRUPageBuffer(disk, c.memory_series, self._leaf_page_series())
+        # Pages are allocated at full capacity.
+        self._buffer = LRUPageBuffer(disk, c.memory_series, self._occupied(self.leaf_capacity))
         self.root: dict[tuple[int, ...], object] = {}
-        for i in range(self.n):
+        for i in range(self.n_series):
             self._insert(i)
         self._buffer.flush()
         if self.materialized:
             # ADSFull's second pass over the raw file to place series.
-            disk.seq_read(max(1, -(-self.n // c.block_series)))
+            disk.seq_read(c.blocks(self.n_series, series=True))
         self.build_wall_s = time.perf_counter() - t0
 
     def _first_key(self, sym: np.ndarray) -> tuple[int, ...]:
@@ -228,21 +217,8 @@ class ISaxIndex:
     def n_leaves(self) -> int:
         return len(self._leaves())
 
-    @property
-    def fill_factor(self) -> float:
-        return self.n / (self.n_leaves * self.leaf_capacity)
-
-    @property
-    def record_bytes(self) -> int:
-        c = self.disk_config
-        return c.series_bytes if self.materialized else c.summary_bytes
-
-    @property
-    def index_bytes(self) -> int:
-        return self.n_leaves * self.leaf_capacity * self.record_bytes
-
     # -- queries -----------------------------------------------------------
-    def _descend(self, q_paa: np.ndarray, q_sax: np.ndarray, disk: DiskModel) -> _Leaf:
+    def _descend(self, q_paa: np.ndarray, q_sax: np.ndarray) -> _Leaf:
         key = self._first_key(q_sax)
         node = self.root.get(key)
         if node is None:
@@ -260,31 +236,18 @@ class ISaxIndex:
             node = node.children[b]
         return node
 
-    def _leaf_blocks(self) -> int:
-        c = self.disk_config
-        per_block = (
-            c.block_series if self.materialized else c.summaries_per_block
-        )
-        return max(1, -(-self.leaf_capacity // per_block))
-
     def approximate(self, query: np.ndarray) -> SearchResult:
+        """The query's leaf, non-contiguous on disk: a random read."""
         t0 = time.perf_counter()
-        disk = DiskModel(config=self.disk_config)
         qp = paa(query, self.w)
-        qs = symbols_from_paa(qp, self.bits)
-        leaf = self._descend(qp, qs, disk)
-        disk.rand_read(self._leaf_blocks())  # non-contiguous leaf: random I/O
-        rows = np.array(leaf.rows, dtype=np.int64)
+        leaf = self._descend(qp, symbols_from_paa(qp, self.bits))
+        result = leaf_search(self, query, np.array(leaf.rows, dtype=np.int64), t0)
         if not self.materialized:
-            # ADS+ materializes the visited leaf on the fly: fetch every
-            # resident raw series (random) and write the refined leaf.
-            disk.rand_read(len(rows))
-            disk.rand_write(self._leaf_blocks())
-        bid, bdist = leaf_true_distances(rows, self.series, self.ids, query)
-        return SearchResult(
-            id=bid, distance=bdist, leaves_visited=1, visited_records=len(rows),
-            approx_distance=bdist, disk=disk, wall_s=time.perf_counter() - t0,
-        )
+            # ADS+ materializes the visited leaf on the fly: the resident
+            # raw series are fetched (charged by the leaf read), and the
+            # refined leaf is written back.
+            result.disk.rand_write(self.leaf_blocks(self.leaf_capacity))
+        return result
 
     def exact(self, query: np.ndarray) -> SearchResult:
         t0 = time.perf_counter()
@@ -292,10 +255,10 @@ class ISaxIndex:
         disk = DiskModel(config=self.disk_config)
         disk.merge(approx.disk)
         qp = paa(query, self.w)
-        disk.charge_cpu(self.n * self.disk_config.cpu_sort_item_s)
+        disk.charge_cpu(self.n_series * self.disk_config.cpu_sort_item_s)
         md = mindist_paa_sax(qp, self.sax, self.length, self.bits)
         bid, bdist, visited = sims_scan(
-            query, md, self.series, self.ids, np.arange(self.n),
+            query, md, self.series, self.ids, np.arange(self.n_series),
             approx.distance, approx.id, disk, self.disk_config.block_series,
         )
         return SearchResult(
@@ -307,15 +270,13 @@ class ISaxIndex:
     # -- updates (Fig 10a) -------------------------------------------------
     def insert_batch(self, ids: np.ndarray, series: np.ndarray) -> None:
         """Top-down insertion of new series (each pays buffered leaf I/O)."""
-        start = self.n
+        start = self.n_series
         self.ids = np.concatenate([self.ids, ids])
         self.series = np.vstack([self.series, series])
         self.sax = np.vstack([self.sax, sax(series, self.w, self.bits)])
-        self.n = len(self.ids)
-        self.build_disk.seq_read(
-            max(1, -(-len(ids) // self.disk_config.block_series))
-        )
+        self.n_series = len(self.ids)
+        self.build_disk.seq_read(self.disk_config.blocks(len(ids), series=True))
         self.build_disk.cpu_summarize(len(ids))
         self.build_disk.cpu_insert(len(ids))
-        for i in range(start, self.n):
+        for i in range(start, self.n_series):
             self._insert(i)

@@ -61,8 +61,6 @@ def level_slices(n: int) -> list[slice]:
 class VerticalIndex:
     """Level-wise DHWT store with stepwise-scan exact NN."""
 
-    name = "Vertical"
-    materialized = True
     n_leaves = 0
     fill_factor = 1.0
 
@@ -81,7 +79,7 @@ class VerticalIndex:
         self.slices = level_slices(self.length)
         self.build_disk = DiskModel(config=self.disk_config)
         c = self.disk_config
-        raw_blocks = max(1, -(-self.n // c.block_series))
+        raw_blocks = c.blocks(self.n, series=True)
         # Stepwise construction: one pass over the raw data per level,
         # each writing that level's coefficient column.
         for sl in self.slices:

@@ -45,7 +45,7 @@ import pyarrow.parquet as pq
 from pyspark.sql import DataFrame
 
 from repro.core.zorder import deinterleave
-from repro.storage.disk_model import DiskConfig, DiskModel
+from repro.storage.disk_model import DiskConfig, DiskModel, LeafStats
 
 SUMMARY_COLS = ["id", "zkey"]
 
@@ -84,7 +84,7 @@ class Summaries:
 
 
 @dataclass
-class CoconutIndex:
+class CoconutIndex(LeafStats):
     """A built Coconut index plus everything a query needs to run."""
 
     path: str
@@ -105,30 +105,6 @@ class CoconutIndex:
     @property
     def n_leaves(self) -> int:
         return len(self.directory)
-
-    @property
-    def fill_factor(self) -> float:
-        """Mean leaf occupancy relative to capacity (paper: ~0.97 for
-        median splits, ~0.10 for prefix splits)."""
-        return self.n_series / (self.n_leaves * self.leaf_capacity)
-
-    @property
-    def record_bytes(self) -> int:
-        c = self.disk_config
-        return c.series_bytes if self.materialized else c.summary_bytes
-
-    @property
-    def index_bytes(self) -> int:
-        """Modeled on-disk footprint: leaves are allocated at full
-        capacity (free space in sparse leaves is the paper's space
-        amplification)."""
-        return self.n_leaves * self.leaf_capacity * self.record_bytes
-
-    def leaf_blocks(self, count: int) -> int:
-        """Disk blocks occupied by ``count`` leaf records."""
-        c = self.disk_config
-        per_block = c.block_series if self.materialized else c.summaries_per_block
-        return max(1, -(-count // per_block))
 
     # -- leaf access -------------------------------------------------------
     def read_leaves(

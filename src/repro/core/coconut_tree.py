@@ -101,17 +101,13 @@ def charge_tree_build(
     leaf level.
     """
     c = disk.config
-    raw_blocks = -(-n // c.block_series)
-    disk.seq_read(raw_blocks)  # summarization scan
+    disk.seq_read(c.blocks(n, series=True))  # summarization scan
     disk.cpu_summarize(n)
     disk.cpu_sort(n)
-    if materialized:
-        memory_items = c.memory_series
-        external_sort_cost(disk, n, c.block_series, memory_items)
-        disk.seq_write(raw_blocks)  # leaf level holds raw series
-    else:
-        external_sort_cost(disk, n, c.summaries_per_block, c.memory_summaries)
-        disk.seq_write(max(1, -(-n // c.summaries_per_block)))  # leaf level
+    external_sort_cost(
+        disk, n, c.records_per_block(series=materialized), c.memory_records(series=materialized)
+    )
+    disk.seq_write(c.blocks(n, series=materialized))  # leaf level
 
 
 def _median_leaf_starts(leaf_capacity: int):
@@ -211,15 +207,12 @@ def merge_batch(
     # streamed in, the merged run streamed out — no random I/O.
     n_old = index.n_series
     b = int(directory["count"].sum()) - n_old
-    disk = DiskModel(config=index.disk_config)
-    c = index.disk_config
-    per_block = c.block_series if index.materialized else c.summaries_per_block
-    disk.seq_read(max(1, -(-b // c.block_series)))            # scan batch
-    external_sort_cost(
-        disk, b, per_block, c.memory_series if index.materialized else c.memory_summaries
-    )
-    disk.seq_read(max(1, -(-n_old // per_block)))             # stream old run
-    disk.seq_write(max(1, -(-(n_old + b) // per_block)))      # write merged
+    c, mat = index.disk_config, index.materialized
+    disk = DiskModel(config=c)
+    disk.seq_read(c.blocks(b, series=True))                   # scan batch
+    external_sort_cost(disk, b, c.records_per_block(series=mat), c.memory_records(series=mat))
+    disk.seq_read(c.blocks(n_old, series=mat))                # stream old run
+    disk.seq_write(c.blocks(n_old + b, series=mat))           # write merged
     disk.cpu_summarize(b)
     disk.cpu_sort(b)
     disk.charge_cpu((n_old + b) * c.cpu_sort_item_s)          # merge pass
@@ -230,7 +223,7 @@ def merge_batch(
         bits=index.bits,
         length=index.length,
         leaf_capacity=index.leaf_capacity,
-        materialized=index.materialized,
+        materialized=mat,
         n_series=n_old + b,
         directory=directory,
         row_groups=row_groups,

@@ -82,25 +82,19 @@ def charge_trie_build(disk: DiskModel, n: int, n_leaves: int, leaf_capacity: int
     at full capacity, so sparse leaves inflate the final write.
     """
     c = disk.config
-    raw_blocks = -(-n // c.block_series)
-    sum_blocks = max(1, -(-n // c.summaries_per_block))
-    disk.seq_read(raw_blocks)  # summarization scan
+    sum_blocks = c.blocks(n, series=False)
+    disk.seq_read(c.blocks(n, series=True))  # summarization scan
     disk.cpu_summarize(n)
     disk.cpu_sort(n)
     # CompactSubtree: repeated sibling-merge sweeps over the leaf level
     # (the paper: CTrie "spends a significant time in compacting").
     disk.charge_cpu(3 * n * c.cpu_insert_item_s)
-    external_sort_cost(disk, n, c.summaries_per_block, c.memory_summaries)
+    external_sort_cost(disk, n, c.records_per_block(series=False), c.memory_records(series=False))
     disk.seq_read(sum_blocks)  # compaction pass over summaries
     disk.seq_write(sum_blocks)
     if materialized:
-        uncached = max(0, n - c.memory_series)
-        disk.rand_read(uncached)  # fetch raw series into sorted leaves
-        alloc_blocks = n_leaves * max(1, -(-leaf_capacity // c.block_series))
-        disk.seq_write(alloc_blocks)
-    else:
-        alloc_blocks = n_leaves * max(1, -(-leaf_capacity // c.summaries_per_block))
-        disk.seq_write(alloc_blocks)
+        disk.rand_read(max(0, n - c.memory_series))  # fetch raw series into sorted leaves
+    disk.seq_write(n_leaves * c.blocks(leaf_capacity, series=materialized))
 
 
 def build_coconut_trie(

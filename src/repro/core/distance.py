@@ -1,17 +1,12 @@
 """Euclidean distance and z-normalization for data series.
 
 The paper (§2) evaluates similarity with Euclidean distance (ED) over
-z-normalized series of equal length.  Both a vectorized numpy path (used
-by indexes and query refinement) and a Spark ``mapInPandas`` path (used
-for brute-force scans over a DataFrame of series) are provided.
+z-normalized series of equal length.  Both are vectorized numpy, used by
+the synthetic data, the indexes and query refinement.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame
 
 
 def znormalize(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
@@ -23,9 +18,8 @@ def znormalize(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     mu = x.mean(axis=-1, keepdims=True)
     sd = x.std(axis=-1, keepdims=True)
-    sd = np.where(sd < eps, 1.0, sd)
-    out = (x - mu) / sd
-    return np.where(x.std(axis=-1, keepdims=True) < eps, 0.0, out)
+    const = sd < eps
+    return np.where(const, 0.0, (x - mu) / np.where(const, 1.0, sd))
 
 
 def euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -33,32 +27,3 @@ def euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     return np.sqrt(np.sum((a - b) ** 2, axis=-1))
-
-
-def squared_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared ED — cheaper for comparisons (monotone in ED)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return np.sum((a - b) ** 2, axis=-1)
-
-
-def distances_to_query(series_df: DataFrame, query: np.ndarray) -> DataFrame:
-    """Spark path: ED from every row of ``series_df`` (id, series) to ``query``.
-
-    Returns a DataFrame (id: long, dist: double). Runs as ``mapInPandas``
-    so the per-batch math is vectorized numpy over Arrow batches.
-    """
-    q = np.asarray(query, dtype=np.float64)
-
-    def compute(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            mat = np.stack(pdf["series"].to_numpy())
-            yield pd.DataFrame(
-                {"id": pdf["id"].to_numpy(), "dist": euclidean(mat, q)}
-            )
-
-    return series_df.select("id", "series").mapInPandas(
-        compute, schema="id long, dist double"
-    )

@@ -1,4 +1,4 @@
-"""Lower-bounding distances for SAX summarizations.
+"""Lower-bounding distance for SAX summarizations.
 
 ``mindist_paa_sax`` is the classic iSAX lower bound (Shieh & Keogh
 [54]): the distance from a query's PAA values to the SAX *regions* of a
@@ -33,24 +33,3 @@ def mindist_paa_sax(
     gap = np.where(q < lo, lo - q, np.where(q > hi, q - hi, 0.0))
     d = np.sqrt((n / w) * np.sum(gap**2, axis=-1))
     return d[0] if np.asarray(cand_sax).ndim == 1 else d
-
-
-def mindist_sax_sax(
-    a_sax: np.ndarray, b_sax: np.ndarray, n: int, bits: int
-) -> np.ndarray:
-    """Lower bound between two SAX words (region-to-region gaps).
-
-    Used when only summarizations are available on both sides (e.g.
-    internal-node pruning).  Symmetric; ≤ mindist_paa_sax of either side.
-    """
-    a = np.atleast_2d(np.asarray(a_sax))
-    b = np.atleast_2d(np.asarray(b_sax))
-    w = a.shape[-1]
-    alo, ahi = region_edges(a, bits)
-    blo, bhi = region_edges(b, bits)
-    # Gap between regions: only nonzero when the regions do not touch.
-    gap = np.where(alo > bhi, alo - bhi, np.where(blo > ahi, blo - ahi, 0.0))
-    gap = np.where(np.isfinite(gap), gap, 0.0)  # adjacent unbounded regions
-    d = np.sqrt((n / w) * np.sum(gap**2, axis=-1))
-    squeeze = np.asarray(a_sax).ndim == 1 and np.asarray(b_sax).ndim == 1
-    return d[0] if squeeze else d

@@ -141,8 +141,7 @@ def _ensure_summaries_loaded(index: CoconutIndex, disk: DiskModel) -> Summaries:
     """Algorithm 5 lines 3–4: first query pays one sequential load of the
     summarizations into memory; afterwards they are resident."""
     if index.summaries is None:
-        c = index.disk_config
-        disk.seq_read(max(1, -(-index.n_series // c.summaries_per_block)))
+        disk.seq_read(index.disk_config.blocks(index.n_series, series=False))
         index.summaries = index.load_summaries()
     return index.summaries
 

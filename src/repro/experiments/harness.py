@@ -76,46 +76,39 @@ def build_system(
 ) -> SystemHandle:
     """Build the named system over ``series_df`` and wrap it."""
     if name in COCONUT_SYSTEMS:
-        materialized = name.endswith("Full")
         builder = build_coconut_tree if "Tree" in name else build_coconut_trie
         path = tempfile.mkdtemp(dir=workdir, prefix=f"{name}_")
         idx = builder(
             spark, series_df, path=path, w=w, bits=bits,
-            leaf_capacity=leaf_capacity, materialized=materialized,
+            leaf_capacity=leaf_capacity, materialized=name.endswith("Full"),
             disk_config=disk_config,
         )
-        return SystemHandle(
-            name=name,
-            n_leaves=idx.n_leaves,
-            fill_factor=idx.fill_factor,
-            index_bytes=idx.index_bytes,
-            build_sim_s=idx.build_disk.seconds(),
-            build_wall_s=idx.build_wall_s,
-            build_io=idx.build_disk.snapshot(),
-            approximate=lambda q, radius=1: cquery.approximate_search(idx, q, radius=radius),
-            exact=lambda q, radius=1: cquery.exact_search(idx, q, radius=radius),
-            close=lambda: (idx.close(), shutil.rmtree(path, ignore_errors=True)),
-        )
-
-    ids, series = collect_series(series_df)
-    if name in ("ADSFull", "ADS+"):
-        idx = ISaxIndex(
-            ids, series, w=w, bits=bits, leaf_capacity=leaf_capacity,
-            materialized=(name == "ADSFull"), disk_config=disk_config,
-        )
-    elif name in ("R-tree", "R-tree+"):
-        idx = RTreeIndex(
-            ids, series, w=w, leaf_capacity=leaf_capacity,
-            materialized=(name == "R-tree"), disk_config=disk_config,
-        )
-    elif name == "DSTree":
-        idx = DSTreeIndex(
-            ids, series, w=w, leaf_capacity=leaf_capacity, disk_config=disk_config
-        )
-    elif name == "Vertical":
-        idx = VerticalIndex(ids, series, disk_config=disk_config)
+        approximate = lambda q, radius=1: cquery.approximate_search(idx, q, radius=radius)
+        exact = lambda q, radius=1: cquery.exact_search(idx, q, radius=radius)
+        close = lambda: (idx.close(), shutil.rmtree(path, ignore_errors=True))
     else:
-        raise ValueError(f"unknown system {name!r}")
+        ids, series = collect_series(series_df)
+        if name in ("ADSFull", "ADS+"):
+            idx = ISaxIndex(
+                ids, series, w=w, bits=bits, leaf_capacity=leaf_capacity,
+                materialized=(name == "ADSFull"), disk_config=disk_config,
+            )
+        elif name in ("R-tree", "R-tree+"):
+            idx = RTreeIndex(
+                ids, series, w=w, leaf_capacity=leaf_capacity,
+                materialized=(name == "R-tree"), disk_config=disk_config,
+            )
+        elif name == "DSTree":
+            idx = DSTreeIndex(
+                ids, series, w=w, leaf_capacity=leaf_capacity, disk_config=disk_config
+            )
+        elif name == "Vertical":
+            idx = VerticalIndex(ids, series, disk_config=disk_config)
+        else:
+            raise ValueError(f"unknown system {name!r}")
+        approximate = lambda q, radius=1: idx.approximate(q)
+        exact = lambda q, radius=1: idx.exact(q)
+        close = lambda: None
     return SystemHandle(
         name=name,
         n_leaves=idx.n_leaves,
@@ -124,9 +117,9 @@ def build_system(
         build_sim_s=idx.build_disk.seconds(),
         build_wall_s=idx.build_wall_s,
         build_io=idx.build_disk.snapshot(),
-        approximate=lambda q, radius=1: idx.approximate(q),
-        exact=lambda q, radius=1: idx.exact(q),
-        close=lambda: None,
+        approximate=approximate,
+        exact=exact,
+        close=close,
     )
 
 

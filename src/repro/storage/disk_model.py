@@ -8,6 +8,11 @@ its block traffic to a :class:`DiskModel` and we report *simulated*
 time alongside wall-clock.  This is the substrate that makes the memory
 axis of Figures 8 and 10 reproducible on a single container.
 
+:class:`DiskConfig` is the one place that knows record geometry: how
+many series or summaries fill a block or memory, and so how many blocks
+``n`` of them take.  :class:`LeafStats` derives every index's leaf
+statistics from it.
+
 Random and sequential I/Os are tracked separately: a random I/O pays a
 seek, a sequential run pays bandwidth only.  Simulated time =
 ``seeks * seek_s + bytes / bandwidth``, with HDD-like defaults (5 ms
@@ -49,6 +54,56 @@ class DiskConfig:
     def memory_summaries(self) -> int:
         """Summaries that fit in the memory of ``memory_series`` series."""
         return max(1, self.memory_series * self.series_bytes // self.summary_bytes)
+
+    # -- record geometry ---------------------------------------------------
+    # A record is a series (``series=True``: a raw file, or the leaves of
+    # a materialized index) or a summary (a secondary index's leaves).
+    # Every index sizes its charges through these methods.
+    def records_per_block(self, *, series: bool) -> int:
+        """B in records."""
+        return self.block_series if series else self.summaries_per_block
+
+    def memory_records(self, *, series: bool) -> int:
+        """M in records."""
+        return self.memory_series if series else self.memory_summaries
+
+    def record_bytes(self, *, series: bool) -> int:
+        return self.series_bytes if series else self.summary_bytes
+
+    def blocks(self, n: int, *, series: bool) -> int:
+        """Disk blocks that ``n`` records fill: at least one."""
+        return max(1, -(-n // self.records_per_block(series=series)))
+
+    def series_equivalents(self, n: int, *, series: bool) -> int:
+        """Size of ``n`` records in series, at least one: what a buffer
+        pool of ``memory_series`` series counts them as."""
+        return max(1, -(-n * self.record_bytes(series=series) // self.series_bytes))
+
+
+class LeafStats:
+    """Fig 8c statistics of an index whose leaves hold ``leaf_capacity``
+    records each, from its ``n_series``, ``n_leaves``, ``leaf_capacity``,
+    ``materialized`` (leaves hold series, not summaries) and
+    ``disk_config``."""
+
+    @property
+    def fill_factor(self) -> float:
+        """Mean leaf occupancy relative to capacity (paper: ~0.97 for
+        median splits, ~0.10 for prefix splits)."""
+        return self.n_series / (self.n_leaves * self.leaf_capacity)
+
+    @property
+    def index_bytes(self) -> int:
+        """Modeled on-disk footprint: leaves are allocated at full
+        capacity (free space in sparse leaves is the paper's space
+        amplification)."""
+        return self.n_leaves * self.leaf_capacity * self.disk_config.record_bytes(
+            series=self.materialized
+        )
+
+    def leaf_blocks(self, count: int) -> int:
+        """Disk blocks occupied by ``count`` leaf records."""
+        return self.disk_config.blocks(count, series=self.materialized)
 
 
 @dataclass
@@ -171,7 +226,7 @@ class LRUPageBuffer:
         self.misses = 0
 
     def _blocks(self, size: int) -> int:
-        return max(1, -(-size // self.disk.config.block_series))
+        return self.disk.config.blocks(size, series=True)
 
     def touch(
         self, key: object, *, dirty: bool, new: bool = False, size: int | None = None
@@ -208,21 +263,15 @@ class LRUPageBuffer:
             self._pages.pop(key)
             self._resident -= self._sizes.pop(key)
 
-    def flush(self, *, sequential: bool = True) -> None:
+    def flush(self) -> None:
         """Write back every dirty page at end of construction.
 
         The final flush streams the still-buffered pages out in one pass
-        (they are all in memory, so the writer can order them); pass
-        ``sequential=False`` to model a fully fragmented flush instead.
+        (they are all in memory, so the writer can order them).
         """
-        dirty_blocks = sum(
-            self._blocks(self._sizes[k]) for k, d in self._pages.items() if d
+        self.disk.seq_write(
+            sum(self._blocks(self._sizes[k]) for k, d in self._pages.items() if d)
         )
-        if dirty_blocks:
-            if sequential:
-                self.disk.seq_write(dirty_blocks)
-            else:
-                self.disk.rand_write(dirty_blocks)
         for key in self._pages:
             self._pages[key] = False
 

@@ -15,6 +15,8 @@ for the same ids.
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.core.distance import znormalize
+
 SERIES_KINDS = ("walk", "seismic", "astro")
 
 
@@ -44,8 +46,7 @@ def _one_series(kind: str, length: int, seed: int, sid: int) -> np.ndarray:
             x = x + g.uniform(2, 8) * np.exp(-0.5 * ((t - c) / (length / 20)) ** 2)
     else:
         raise ValueError(f"unknown series kind {kind!r}; one of {SERIES_KINDS}")
-    mu, sd = x.mean(), x.std()
-    return (x - mu) / sd if sd > 1e-12 else np.zeros(length)
+    return znormalize(x)
 
 
 def series_matrix(

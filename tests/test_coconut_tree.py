@@ -5,8 +5,8 @@ import pytest
 
 from repro.core.coconut_common import leaf_of
 from repro.core.zorder import zkeys
-from repro.oracle import assert_equivalent
 from tests.conftest import CAPACITY, N_SERIES, assert_leaves_tile_ranks, read_in_file_order
+from tests.ground_truth import assert_equivalent
 
 
 class TestStructure:

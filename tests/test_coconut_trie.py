@@ -250,7 +250,7 @@ class TestWideKeys:
         assert_leaves_tile_ranks(idx.directory, self.N)
 
     def test_exact_equals_brute_force(self, wide, queries):
-        from repro.baselines.brute_force import exact_nn_numpy
+        from tests.ground_truth import exact_nn_numpy
         from repro.core.query import exact_search
 
         idx, mat = wide

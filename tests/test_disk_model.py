@@ -69,6 +69,26 @@ class TestDiskModel:
         assert c.summaries_per_block == c.block_bytes // c.summary_bytes
 
 
+class TestRecordGeometry:
+    def test_series_and_summary_records(self):
+        c = cfg()  # 4 series of 64 B per block: 32 summaries of 8 B
+        assert c.records_per_block(series=True) == 4
+        assert c.records_per_block(series=False) == 32
+        assert c.memory_records(series=True) == 16
+        assert c.memory_records(series=False) == 128
+        assert (c.record_bytes(series=True), c.record_bytes(series=False)) == (64, 8)
+
+    def test_blocks_round_up_to_at_least_one(self):
+        c = cfg()
+        assert [c.blocks(n, series=True) for n in (0, 1, 4, 5)] == [1, 1, 1, 2]
+        assert [c.blocks(n, series=False) for n in (32, 33)] == [1, 2]
+
+    def test_series_equivalents(self):
+        c = cfg()
+        assert [c.series_equivalents(n, series=True) for n in (0, 3)] == [1, 3]
+        assert [c.series_equivalents(n, series=False) for n in (8, 9)] == [1, 2]
+
+
 class TestLRUPageBuffer:
     def test_new_page_costs_nothing(self):
         d = DiskModel(config=cfg())
@@ -120,14 +140,6 @@ class TestLRUPageBuffer:
             buf.touch(k, dirty=True, new=True, size=4)
         buf.flush()
         assert d.seq_write_blocks == 5 and d.random_writes == 0
-
-    def test_flush_random_mode(self):
-        d = DiskModel(config=cfg())
-        buf = LRUPageBuffer(d, 100, 4)
-        for k in range(5):
-            buf.touch(k, dirty=True, new=True, size=4)
-        buf.flush(sequential=False)
-        assert d.random_writes == 5
 
     def test_double_flush_idempotent(self):
         d = DiskModel(config=cfg())

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.distance import distances_to_query, euclidean, squared_euclidean, znormalize
-from repro.oracle import assert_equivalent
+from repro.core.distance import euclidean, znormalize
+from tests.ground_truth import assert_equivalent, distances_to_query, squared_euclidean
 
 
 class TestZNormalize:
@@ -89,7 +89,7 @@ class TestSparkDistances:
     def test_min_dist_oracle(self, spark, walk_df, walk_mat, queries):
         """The global min distance agrees with a DuckDB SQL formulation
         over unpivoted (id, pos, value) rows."""
-        from repro.baselines.brute_force import unpivot_series
+        from tests.ground_truth import unpivot_series
 
         q = queries[0]
         long = unpivot_series(np.arange(len(walk_mat)), walk_mat)

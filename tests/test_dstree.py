@@ -2,10 +2,10 @@
 import numpy as np
 import pytest
 
-from repro.baselines.brute_force import exact_nn_numpy
 from repro.baselines.dstree import DSTreeIndex
 from repro.storage.disk_model import DiskConfig
 from tests.conftest import CAPACITY, N_SERIES, W
+from tests.ground_truth import exact_nn_numpy
 
 
 class TestStructure:

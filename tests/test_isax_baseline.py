@@ -2,7 +2,6 @@
 import numpy as np
 import pytest
 
-from repro.baselines.brute_force import exact_nn_numpy
 from repro.baselines.isax_index import ISaxIndex, node_mindist
 from repro.core.distance import euclidean
 from repro.core.mindist import mindist_paa_sax
@@ -10,6 +9,7 @@ from repro.core.paa import paa
 from repro.core.sax import sax, symbols_from_paa
 from repro.storage.disk_model import DiskConfig
 from tests.conftest import BITS, CAPACITY, N_SERIES, W
+from tests.ground_truth import exact_nn_numpy
 
 
 def _leaves(idx):
@@ -150,5 +150,5 @@ class TestUpdates:
         idx = ISaxIndex(np.arange(60), mat, w=W, bits=BITS, leaf_capacity=20,
                         materialized=False, disk_config=disk_cfg)
         idx.insert_batch(np.arange(60, 80), series_matrix(n_series=20, length=64, seed=12, id_offset=60))
-        assert idx.n == 80
+        assert idx.n_series == 80
         assert sum(len(l.rows) for l in _leaves(idx)) == 80

@@ -1,11 +1,11 @@
-"""Unit tests for the SAX lower-bounding distances."""
+"""Unit tests for the SAX lower-bounding distance."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.distance import euclidean
-from repro.core.mindist import mindist_paa_sax, mindist_sax_sax
+from repro.core.mindist import mindist_paa_sax
 from repro.core.paa import paa
 from repro.core.sax import sax
 
@@ -70,34 +70,3 @@ class TestMindistPaaSax:
         md = mindist_paa_sax(paa(a, 8), sax(b, 8, 4), 64, 4)
         assert md <= euclidean(a, b) + 1e-9
 
-
-class TestMindistSaxSax:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_lower_bounds_paa_version(self, seed):
-        a, b = _series(seed), _series(seed + 200)
-        sa, sb = sax(a, 8, 4), sax(b, 8, 4)
-        m_ss = mindist_sax_sax(sa, sb, 64, 4)
-        m_ps = mindist_paa_sax(paa(a, 8), sb, 64, 4)
-        assert m_ss <= m_ps + 1e-9
-
-    def test_symmetric(self):
-        sa, sb = sax(_series(1), 8, 4), sax(_series(2), 8, 4)
-        assert mindist_sax_sax(sa, sb, 64, 4) == pytest.approx(
-            float(mindist_sax_sax(sb, sa, 64, 4))
-        )
-
-    def test_zero_for_same_word(self):
-        sa = sax(_series(3), 8, 4)
-        assert mindist_sax_sax(sa, sa, 64, 4) == 0.0
-
-    def test_zero_for_adjacent_regions(self):
-        """Touching regions have zero gap."""
-        a = np.array([3], dtype=np.uint32)
-        b = np.array([4], dtype=np.uint32)
-        assert mindist_sax_sax(a, b, 8, 3) == 0.0
-
-    def test_lower_bounds_true_distance(self):
-        for seed in range(8):
-            a, b = _series(seed), _series(seed + 300)
-            md = mindist_sax_sax(sax(a, 8, 4), sax(b, 8, 4), 64, 4)
-            assert md <= euclidean(a, b) + 1e-9

@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.core.paa import paa
-from repro.oracle import assert_equivalent
+from tests.ground_truth import assert_equivalent
 
 
 class TestPaaNumpy:
@@ -59,7 +59,7 @@ class TestPaaSpark:
     def test_oracle_segment_means(self, spark, walk_mat):
         """PAA segment means agree with a DuckDB GROUP BY over unpivoted
         series rows."""
-        from repro.baselines.brute_force import unpivot_series
+        from tests.ground_truth import unpivot_series
 
         w, n = 8, walk_mat.shape[1]
         segs = paa(walk_mat, w)

@@ -3,7 +3,6 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.baselines.brute_force import exact_nn_numpy, exact_nn_spark, unpivot_series
 from repro.core.distance import euclidean
 from repro.core.query import (
     approximate_search,
@@ -11,9 +10,9 @@ from repro.core.query import (
     query_summary,
     sims_scan,
 )
-from repro.oracle import assert_equivalent
 from repro.storage.disk_model import DiskModel
 from tests.conftest import jobs_under_group
+from tests.ground_truth import assert_equivalent, exact_nn_numpy, exact_nn_spark, unpivot_series
 
 
 @pytest.fixture(scope="module")

@@ -2,11 +2,12 @@
 import numpy as np
 import pytest
 
-from repro.baselines.brute_force import exact_nn_numpy
+from repro.baselines.common import paa_box_mindist
 from repro.baselines.rtree import RTreeIndex, str_pack
 from repro.core.paa import paa
 from repro.storage.disk_model import DiskConfig
-from tests.conftest import CAPACITY, N_SERIES, W
+from tests.conftest import CAPACITY, LENGTH, N_SERIES, W
+from tests.ground_truth import exact_nn_numpy
 
 
 class TestStrPack:
@@ -69,7 +70,7 @@ class TestRTreeIndex:
 
     def test_mbr_mindist_lower_bounds(self, rtree, walk_mat, queries):
         q = queries[0]
-        md = rtree._mbr_mindist(paa(q, W))
+        md = paa_box_mindist(paa(q, W), rtree.mbr_lo, rtree.mbr_hi, LENGTH)
         from repro.core.distance import euclidean
 
         for k, rows in enumerate(rtree.leaves):

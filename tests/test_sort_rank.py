@@ -6,8 +6,8 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.sort_rank import global_sort_with_rank
-from repro.oracle import assert_equivalent
 from tests.conftest import jobs_under_group, persisted_rdds, read_in_file_order
+from tests.ground_truth import assert_equivalent
 
 
 def _df(spark, n=200, seed=0):

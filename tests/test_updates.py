@@ -6,13 +6,13 @@ import pandas as pd
 import pyarrow.parquet as pq
 import pytest
 
-from repro.baselines.brute_force import exact_nn_numpy
 from repro.core import coconut_common
 from repro.core.coconut_tree import build_coconut_tree, merge_batch
 from repro.core.query import exact_search
 from repro.storage.disk_model import DiskConfig
 from repro.synth_data import query_workload, series_collection, series_matrix
 from tests.conftest import jobs_under_group, read_in_file_order
+from tests.ground_truth import exact_nn_numpy
 
 LENGTH, KW = 64, dict(w=8, bits=4, leaf_capacity=20)
 OLD_ID0 = 1000  # old series' first id; batches take ids below and above

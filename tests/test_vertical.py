@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
-from repro.baselines.brute_force import exact_nn_numpy
 from repro.baselines.vertical import VerticalIndex, dhwt, level_slices
 from repro.core.distance import euclidean
+from tests.ground_truth import exact_nn_numpy
 
 
 class TestDHWT:
