@@ -7,6 +7,8 @@ records.
 """
 from __future__ import annotations
 
+import atexit
+import shutil
 import tempfile
 
 from pyspark.sql import SparkSession
@@ -26,4 +28,7 @@ def get_spark(app: str) -> SparkSession:
 
 
 def workdir() -> str:
-    return tempfile.mkdtemp(prefix="coconut_job_")
+    """A fresh directory for the job's indexes, removed when the job exits."""
+    path = tempfile.mkdtemp(prefix="coconut_job_")
+    atexit.register(shutil.rmtree, path, ignore_errors=True)
+    return path

@@ -137,7 +137,8 @@ def build_coconut_tree(
     ordered, release = global_sort_with_rank(summaries, "zkey")
     try:
         write_index_files(
-            ordered, None if materialized else series_df, path, materialized=materialized
+            ordered, None if materialized else series_df, path,
+            materialized=materialized, block_series=cfg.block_series,
         )
     finally:
         release()
@@ -199,7 +200,10 @@ def merge_batch(
             f"{seen['bad']} batch series are not of length {index.length}, the "
             f"index's (batch lengths {seen['lo']}..{seen['hi']})"
         )
-    merge_index_files(index.path, batch, new_path, materialized=index.materialized)
+    merge_index_files(
+        index.path, batch, new_path, materialized=index.materialized,
+        block_series=index.disk_config.block_series,
+    )
     directory, row_groups = directory_from_summaries(
         f"{new_path}/leaves", _median_leaf_starts(index.leaf_capacity)
     )

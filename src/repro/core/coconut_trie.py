@@ -120,7 +120,8 @@ def build_coconut_trie(
     ordered, release = global_sort_with_rank(summaries, "zkey")
     try:
         write_index_files(
-            ordered, None if materialized else series_df, path, materialized=materialized
+            ordered, None if materialized else series_df, path,
+            materialized=materialized, block_series=cfg.block_series,
         )
     finally:
         release()

@@ -12,12 +12,16 @@ in-memory summarization in file order (one vectorized
 ``mindist_paa_sax`` call over the driver-resident SAX matrix — the
 paper's "multiple threads computing bounds in parallel"), then perform
 the skip-sequential visit (:func:`sims_scan`, shared with the ADS
-baseline): fetch the raw series only for records whose bound beats the
-*running* bsf, in file order.  The number of visited records (Fig 9f)
-and the block traffic are accounted against the disk model.
+baseline): visit only the records whose bound beats the *running* bsf,
+in file order.  The number of visited records (Fig 9f) and the block
+traffic are accounted against the disk model.
 
-Leaves and raw series are read with pyarrow, so neither search starts a
-Spark job.
+Series are fetched by file position: a secondary index's candidates by
+their raw-file positions (held in the resident summaries, or mapped
+from the leaf entries' ids), a materialized index's by their ranks in
+the leaf file.  Only the row groups, B series each, that hold those
+positions are read, with pyarrow, so neither search starts a Spark job.
+The refine computes every candidate's distance in one vectorized call.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
-from repro.core.coconut_common import CoconutIndex, Summaries, leaf_of
+from repro.core.coconut_common import CoconutIndex, Summaries, as_matrix
 from repro.core.distance import euclidean
 from repro.core.mindist import mindist_paa_sax
 from repro.core.paa import paa
@@ -92,12 +96,13 @@ def _true_distances(
         mat = np.stack(leaf_pdf["series"].to_numpy())
         ids = leaf_pdf["id"].to_numpy()
     else:
-        raw = index.fetch_raw(list(leaf_pdf["id"]))
+        raw = index.raw_file()
+        pos = np.sort(raw.positions(leaf_pdf["id"].to_numpy()))  # raw-file order
+        mat = index.fetch_raw(pos)
         # Secondary leaves point into the raw file at arbitrary offsets:
         # each uncached fetch is a random block read.
-        disk.rand_read(len(raw))
-        mat = np.stack(raw["series"].to_numpy())
-        ids = raw["id"].to_numpy()
+        disk.rand_read(len(mat))
+        ids = raw.id[pos]
     return pd.DataFrame({"id": ids, "dist": euclidean(mat, np.asarray(query))})
 
 
@@ -146,23 +151,19 @@ def _ensure_summaries_loaded(index: CoconutIndex, disk: DiskModel) -> Summaries:
     return index.summaries
 
 
-def _candidate_series(index: CoconutIndex, ids: np.ndarray, ranks: np.ndarray) -> list:
-    """Raw series of the candidates ``ids`` (of ranks ``ranks``), in the
-    same order: from their leaves when materialized, else from the raw
-    file."""
+def _candidate_series(index: CoconutIndex, pos: np.ndarray) -> np.ndarray:
+    """Series at the file positions ``pos``, in that order, as one
+    ``(k, length)`` array: from the leaf file when materialized (a
+    position is a rank), else from the raw file."""
     if index.materialized:
-        leaf_ids = np.unique(leaf_of(index.directory["leaf_id"].to_numpy(), ranks)).tolist()
-        pdf = index.read_leaves(leaf_ids, columns=["id", "series"])
-    else:
-        pdf = index.fetch_raw(ids.tolist())
-    lookup = dict(zip(pdf["id"].tolist(), pdf["series"]))
-    return [lookup[i] for i in ids.tolist()]
+        return as_matrix(index.row_groups.take(pos, ["series"]).column("series"), index.length)
+    return index.fetch_raw(pos)
 
 
 def sims_scan(
     query: np.ndarray,
     mindists: np.ndarray,
-    series: np.ndarray | list[np.ndarray],
+    series: np.ndarray,
     ids: np.ndarray,
     positions: np.ndarray,
     bsf: float,
@@ -174,16 +175,20 @@ def sims_scan(
 
     Walks the candidates in file order; each one whose lower bound beats
     the *running* bsf is visited: its raw series is read and refines the
-    bsf.  Disk charge: the visited blocks ``positions // per_block``, one
+    bsf.  Row ``i`` of ``series`` is candidate ``i``'s series.  The
+    distances of the candidates whose bound beats the initial bsf are
+    computed in one vectorized call; the walk then reads them.  Disk
+    charge: the visited blocks ``positions // per_block``, one
     sequential run per contiguous stretch.  Returns (answer id, answer
     distance, visited record count).
     """
+    pending = np.flatnonzero(mindists < bsf)
+    dists = euclidean(series[pending], query)
     visited = []
-    for i in range(len(mindists)):
+    for i, d in zip(pending.tolist(), dists.tolist()):
         if mindists[i] >= bsf:
             continue  # pruned by the (shrinking) running bsf — skipped
         visited.append(i)
-        d = float(euclidean(series[i], query))
         if d < bsf:
             bsf = d
             bsf_id = int(ids[i])
@@ -211,12 +216,11 @@ def exact_search(
 
     md = mindist_paa_sax(qp, sums.sax, index.length, index.bits)
     keep = np.flatnonzero(md < approx.distance)  # candidate ranks: row i is rank i
-    cand_id = sums.id[keep]
-    # Raw series for candidates, fetched once; then visited in file order
-    # (SIMS's synchronized skip-sequential scan) over raw-record blocks.
+    # Raw series for candidates, fetched once by position; then visited
+    # in rank order (SIMS's synchronized skip-sequential scan).
     bsf_id, bsf, visited = sims_scan(
-        query, md[keep], _candidate_series(index, cand_id, keep),
-        cand_id, keep, approx.distance, approx.id, disk,
+        query, md[keep], _candidate_series(index, sums.pos[keep]),
+        sums.id[keep], keep, approx.distance, approx.id, disk,
         index.disk_config.block_series,
     )
 

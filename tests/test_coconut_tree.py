@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.coconut_common import leaf_of
 from repro.core.zorder import zkeys
-from tests.conftest import CAPACITY, N_SERIES, assert_leaves_tile_ranks, read_in_file_order
+from tests.conftest import CAPACITY, LENGTH, N_SERIES, assert_leaves_tile_ranks, read_in_file_order
 from tests.ground_truth import assert_equivalent
 
 
@@ -161,9 +161,61 @@ class TestPersistedLayout:
             swapped.load_summaries()
 
     def test_fetch_raw_by_id(self, ctree, walk_mat):
-        pdf = ctree.fetch_raw([0, 5, 7])
-        pdf = pdf.sort_values("id")
-        assert np.allclose(np.stack(pdf["series"].to_numpy()), walk_mat[[0, 5, 7]])
+        """Series are fetched by the raw-file positions of their ids, as
+        one array in the order asked."""
+        got = ctree.fetch_raw(ctree.raw_file().positions([7, 0, 5]))
+        assert got.shape == (3, LENGTH) and len(got) == 3
+        assert np.array_equal(got, walk_mat[[7, 0, 5]])
+
+    @pytest.mark.parametrize("name", ["ctree", "ctree_full", "ctrie", "merged_index"])
+    def test_series_files_in_block_row_groups(self, name, request):
+        """The files holding series, a secondary index's raw file and a
+        materialized index's leaves, are written in row groups of at most
+        B series, one modeled disk block each."""
+        from repro.core.coconut_common import read_with_row_groups
+
+        index = request.getfixturevalue(name)
+        t, groups = read_with_row_groups(
+            f"{index.path}/{'leaves' if index.materialized else 'raw'}", ["id"]
+        )
+        assert groups.rows.sum() == len(t) == index.n_series
+        assert groups.rows.max() <= index.disk_config.block_series
+
+    def test_fetch_reads_only_the_row_groups_holding_positions(self, ctree, monkeypatch):
+        """A fetch of k positions reads each row group holding one of them
+        once, and no other row group."""
+        import os
+
+        import pyarrow.parquet as pq
+
+        raw = f"{ctree.path}/raw"
+        pos = [5, 6, 37, 200, N_SERIES - 1, 38]
+        want, start = [], 0
+        for f in sorted(os.path.join(raw, f) for f in os.listdir(raw) if f.endswith(".parquet")):
+            meta = pq.ParquetFile(f).metadata
+            for g in range(meta.num_row_groups):
+                rows = meta.row_group(g).num_rows
+                want += [(f, g)] if any(start <= p < start + rows for p in pos) else []
+                start += rows
+        read = []
+
+        class Spy(pq.ParquetFile):
+            def __init__(self, source, *args, **kwargs):
+                super().__init__(source, *args, **kwargs)
+                self.source = source
+
+            def read_row_groups(self, row_groups, *args, **kwargs):
+                read.extend((self.source, g) for g in row_groups)
+                return super().read_row_groups(row_groups, *args, **kwargs)
+
+        ctree.close()  # no part file open yet
+        ctree.raw_file()  # the positions are resident before the fetch
+        monkeypatch.setattr(pq, "ParquetFile", Spy)
+        try:
+            assert len(ctree.fetch_raw(pos)) == len(pos)
+        finally:
+            ctree.close()  # drop the spied readers
+        assert sorted(read) == sorted(want) and len(want) < len(pos)
 
     def test_materialized_series_roundtrip(self, ctree_full, walk_mat):
         lid = int(ctree_full.directory.iloc[0]["leaf_id"])

@@ -147,6 +147,35 @@ class TestMergeEqualsRebuild:
         rebuilt.close()
 
 
+class TestIdsAreNotPositions:
+    def test_shuffled_ids_then_batch_below(self, spark, tmp_path):
+        """A secondary CTree over shuffled ids with gaps, then a merged
+        batch whose ids sort below every old one: the raw file's
+        positions follow neither the ids nor their order, and series are
+        still found by id."""
+        rng = np.random.default_rng(5)
+        old_mat = series_matrix(n_series=120, length=LENGTH, seed=61)
+        old_ids = OLD_ID0 + 3 * rng.permutation(120)
+        batch_mat = series_matrix(n_series=30, length=LENGTH, seed=61, id_offset=120)
+        batch_ids = 2 * rng.permutation(30)
+        old = build_coconut_tree(
+            spark, _frame(spark, old_ids, old_mat), path=str(tmp_path / "old"), **KW
+        )
+        merged = merge_batch(old, _frame(spark, batch_ids, batch_mat), path=str(tmp_path / "m"))
+        ids, mat = np.concatenate([old_ids, batch_ids]), np.vstack([old_mat, batch_mat])
+        raw = merged.raw_file()
+        assert sorted(raw.id) == sorted(ids) and (raw.id[-30:] == batch_ids).all()
+        pick = rng.permutation(len(ids))[:40]
+        assert np.array_equal(merged.fetch_raw(raw.positions(ids[pick])), mat[pick])
+        for q in query_workload(n_queries=4, length=LENGTH):
+            gid, gd = exact_nn_numpy(ids, mat, q)
+            got = exact_search(merged, q)
+            assert (got.id, got.distance) == (gid, pytest.approx(gd))
+        with pytest.raises(KeyError):
+            raw.positions([OLD_ID0 + 1])  # a gap in the old ids
+        merged.close()
+
+
 class TestMergeInput:
     def test_merge_starts_one_spark_job(self, spark, tmp_path):
         """Only the batch is summarized, in the one job that collects it;
