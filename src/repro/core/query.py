@@ -8,12 +8,14 @@ level is a sorted file; return the best true Euclidean distance found.
 
 ``exact_search`` is Algorithm 5 (CoconutTreeSIMS): seed a best-so-far
 from the approximate answer, compute the MINDIST lower bound for every
-in-memory summarization in file order (one vectorized
-``mindist_paa_sax`` call over the driver-resident SAX matrix — the
-paper's "multiple threads computing bounds in parallel"), then perform
-the skip-sequential visit (:func:`sims_scan`, shared with the ADS
-baseline): visit only the records whose bound beats the *running* bsf,
-in file order.  The number of visited records (Fig 9f) and the block
+in-memory summarization (one vectorized ``mindist_paa_sax`` call over
+the driver-resident SAX matrix — the paper's "multiple threads
+computing bounds in parallel"), then perform the skip-sequential visit
+(:func:`sims_scan`, shared with the ADS baseline): visit only the
+records whose bound beats the *running* bsf, in the order of the file
+that holds their series — the raw file for a secondary index, the leaf
+file for a materialized one — and charge the blocks at their positions
+in it.  The number of visited records (Fig 9f) and the block
 traffic are accounted against the disk model.
 
 Series are fetched by file position: a secondary index's candidates by
@@ -216,12 +218,14 @@ def exact_search(
 
     md = mindist_paa_sax(qp, sums.sax, index.length, index.bits)
     keep = np.flatnonzero(md < approx.distance)  # candidate ranks: row i is rank i
-    # Raw series for candidates, fetched once by position; then visited
-    # in rank order (SIMS's synchronized skip-sequential scan).
+    keep = keep[np.argsort(sums.pos[keep])]      # in series-file order
+    pos = sums.pos[keep]
+    # Series for candidates, fetched once by position; then visited in
+    # the series file's order (SIMS's synchronized skip-sequential scan)
+    # and charged at their positions in it.
     bsf_id, bsf, visited = sims_scan(
-        query, md[keep], _candidate_series(index, sums.pos[keep]),
-        sums.id[keep], keep, approx.distance, approx.id, disk,
-        index.disk_config.block_series,
+        query, md[keep], _candidate_series(index, pos), sums.id[keep], pos,
+        approx.distance, approx.id, disk, index.disk_config.block_series,
     )
 
     return SearchResult(

@@ -170,6 +170,52 @@ class TestSimsScan:
         assert disk.seq_runs == 0 and disk.seq_read_blocks == 0
 
 
+class TestSimsCharge:
+    def test_secondary_refine_is_charged_at_raw_positions(self, spark, tmp_path):
+        """Hand-worked: eight constant series of length 4 (w=2, bits=2,
+        so SAX breakpoints -0.674, 0, 0.674), B=2, leaves of 4.  Row i of
+        the raw file is id i, of value V[i].  By z-key (= symbol, ties by
+        id) the ranks hold ids 1, 3 | 5 | 0, 6 | 2, 4, 7, so the ranks and
+        the raw positions differ.
+
+        Query 0.1 (symbol 2): its leaf is ranks 4-7 and the approximate
+        search reads the 2 records at its key, ids 6 and 2, so bsf = 1.0
+        (id 6).  Bounds 2*gap: symbol 0 1.55, 1 0.2, 2 0, 3 1.15; the
+        candidates are ids 5, 0 and 6 at ranks 2-4 and raw positions
+        5, 0, 6.  In raw-file order: id 0 (distance 0.4, bsf 0.4), id 5
+        (bound 0.2 < 0.4: distance 0.6), id 6 (bound 0: distance 1.0) —
+        all three visited.  Raw blocks 0, 2, 3: two sequential runs of
+        1 and 2 blocks.  Charging the ranks, blocks 1, 1, 2, would be one
+        run of 2 blocks."""
+        from repro.core.coconut_tree import build_coconut_tree
+        from repro.storage.disk_model import DiskConfig
+
+        values = [0.3, -3.0, 2.5, -1.0, 1.2, -0.2, 0.6, 0.9]
+        df = spark.createDataFrame(
+            pd.DataFrame({"id": np.arange(8), "series": [np.full(4, v) for v in values]}),
+            "id long, series array<double>",
+        )
+        cfg = DiskConfig(block_series=2, memory_series=100, series_bytes=32)
+        idx = build_coconut_tree(
+            spark, df, path=str(tmp_path / "hand"), w=2, bits=2, leaf_capacity=4,
+            disk_config=cfg,
+        )
+        q = np.full(4, 0.1)
+        assert list(idx.raw_file().id) == list(range(8))
+        assert list(idx.load_summaries().id) == [1, 3, 5, 0, 6, 2, 4, 7]
+        a = approximate_search(idx, q)
+        assert (a.id, a.distance) == (6, pytest.approx(1.0))
+        exact_search(idx, q)  # loads the summaries
+        e = exact_search(idx, q)
+        assert (e.id, e.distance) == (0, pytest.approx(0.4))
+        assert (e.extra["candidates"], e.visited_records) == (3, 3)
+        refine_runs = e.disk.seq_runs - a.disk.seq_runs
+        refine_blocks = e.disk.seq_read_blocks - a.disk.seq_read_blocks
+        assert (refine_runs, refine_blocks) == (2, 3)
+        assert e.disk.random_reads == a.disk.random_reads
+        idx.close()
+
+
 class TestNoSparkJobs:
     def test_group_counts_spark_jobs(self, spark):
         """Control: a Spark action under a job group is seen."""
