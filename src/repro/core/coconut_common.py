@@ -26,8 +26,7 @@ comparison (paper §4.2 vs §4.3) clean:
 - driver-resident :class:`Summaries` (SAX words, ids and file positions
   as numpy arrays, row ``i`` holding rank ``i``): the paper's "in-memory
   summarizations" used by the SIMS exact search, decoded from the
-  leaves' keys on first use.  A record's leaf is found from its rank
-  with :func:`leaf_of`.
+  leaves' keys on first use.
 - a driver-resident :class:`RawFile` (secondary indexes): each id's
   raw-file position, read once from the raw ``id`` column.  It stands in
   for the file offset the paper stores in each leaf entry.
@@ -91,27 +90,30 @@ class RowGroups:
     def take(self, positions: np.ndarray, columns: list[str] | None = None) -> pa.Table:
         """``columns`` (default all) of the rows at ``positions``, in the
         order given.  Only the row groups holding them are read, with one
-        ``read_row_groups`` per part file."""
+        ``read_row_groups`` per part file, and each part file's rows are
+        picked before the next is read, so the driver holds one file's
+        read at a time."""
         pos = np.asarray(positions, dtype=np.int64)
         if len(pos) and (pos.min() < 0 or pos.max() >= self.first[-1] + self.rows[-1]):
             raise IndexError(f"positions outside 0..{self.first[-1] + self.rows[-1] - 1}")
         group = np.searchsorted(self.first, pos, side="right") - 1
-        touched = np.unique(group)
-        tables = []
-        for j in np.unique(self.file[touched]).tolist():
+        parts, picked = [], []
+        for j in np.unique(self.file[group]).tolist():
+            mine = np.flatnonzero(self.file[group] == j)
+            groups = np.unique(group[mine])
             if j not in self.readers:
                 self.readers[j] = pq.ParquetFile(self.files[j])
-            tables.append(self.readers[j].read_row_groups(
-                self.index[touched[self.file[touched] == j]].tolist(),
-                columns=columns, use_threads=False,
-            ))
-        if not tables:
+            read = self.readers[j].read_row_groups(
+                self.index[groups].tolist(), columns=columns, use_threads=False
+            )
+            offset = np.cumsum(self.rows[groups]) - self.rows[groups]  # in the read
+            g = group[mine]
+            parts.append(read.take(offset[np.searchsorted(groups, g)] + pos[mine] - self.first[g]))
+            picked.append(mine)
+        if not parts:
             empty = pq.read_schema(self.files[0]).empty_table()
             return empty.select(columns) if columns else empty
-        offset = np.cumsum(self.rows[touched]) - self.rows[touched]  # in the read
-        return pa.concat_tables(tables).take(
-            offset[np.searchsorted(touched, group)] + pos - self.first[group]
-        )
+        return pa.concat_tables(parts).take(np.argsort(np.concatenate(picked)))
 
     def close(self) -> None:
         """Close the part files opened so far; a later read reopens them."""
@@ -138,12 +140,6 @@ def as_matrix(series: pa.ChunkedArray, length: int) -> np.ndarray:
     stored by Spark's pandas conversion) reads as NaN."""
     values = series.combine_chunks().flatten()
     return values.to_numpy(zero_copy_only=False).reshape(-1, length)
-
-
-def leaf_of(starts: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """Leaf id of each record rank, given the ascending leaf ids (first
-    ranks): the last leaf starting at or before it."""
-    return starts[np.searchsorted(starts, ranks, side="right") - 1]
 
 
 @dataclass

@@ -19,6 +19,8 @@
   word's low-order bits, and :func:`prefix_key` reads the same
   resolution off a z-key's leading bits; the z-key tests check that the
   two agree.
+- The leaf of a rank: :func:`leaf_of` reads it off the directory's leaf
+  ids, which the layout tests check leaves against.
 """
 from __future__ import annotations
 
@@ -139,3 +141,9 @@ def prefix_key(zkey: bytes, w: int, bits: int, k: int) -> int:
     if not 0 <= k <= bits:
         raise ValueError(f"k={k} must be in [0, bits={bits}]")
     return int.from_bytes(zkey, "big") >> (8 * len(zkey) - k * w)
+
+
+def leaf_of(starts: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Leaf id of each record rank, given the ascending leaf ids (first
+    ranks): the last leaf starting at or before it."""
+    return starts[np.searchsorted(starts, ranks, side="right") - 1]

@@ -3,10 +3,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.coconut_common import leaf_of
 from repro.core.zorder import zkeys
 from tests.conftest import CAPACITY, LENGTH, N_SERIES, assert_leaves_tile_ranks, read_in_file_order
-from tests.ground_truth import assert_equivalent
+from tests.ground_truth import assert_equivalent, leaf_of
 
 
 class TestStructure:

@@ -2,10 +2,9 @@
 import numpy as np
 import pytest
 
-from repro.core.coconut_common import leaf_of
 from repro.core.coconut_trie import MAX_DEPTH, prefix_leaf_starts
 from tests.conftest import CAPACITY, N_SERIES, assert_leaves_tile_ranks, read_in_file_order
-from tests.ground_truth import prefix_key
+from tests.ground_truth import leaf_of, prefix_key
 
 
 def _per_root_starts(keys64, *, start_depth, capacity, max_depth=MAX_DEPTH):

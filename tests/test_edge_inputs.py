@@ -12,14 +12,13 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.coconut_common import leaf_of
 from repro.core.coconut_tree import build_coconut_tree
 from repro.core.coconut_trie import build_coconut_trie
 from repro.core.query import exact_search
 from repro.core.zorder import first64, zkeys
 from repro.synth_data import series_matrix
 from tests.conftest import LENGTH, assert_leaves_tile_ranks, read_in_file_order
-from tests.ground_truth import exact_nn_numpy
+from tests.ground_truth import exact_nn_numpy, leaf_of
 
 N_WALKS, CAP = 300, 20
 N_CONST = 3 * CAP + 1
