@@ -35,7 +35,7 @@ from repro.core.mindist import mindist_paa_sax
 from repro.core.paa import paa
 from repro.core.query import SearchResult, sims_scan
 from repro.core.sax import breakpoints, sax, symbols_from_paa
-from repro.storage.disk_model import DiskConfig, DiskModel, LeafStats, LRUPageBuffer
+from repro.storage.disk_model import CPU_SORT_ITEM_S, DiskConfig, DiskModel, LeafStats, LRUPageBuffer
 
 
 def node_mindist(
@@ -255,7 +255,7 @@ class ISaxIndex(LeafStats):
         disk = DiskModel(config=self.disk_config)
         disk.merge(approx.disk)
         qp = paa(query, self.w)
-        disk.charge_cpu(self.n_series * self.disk_config.cpu_sort_item_s)
+        disk.charge_cpu(self.n_series * CPU_SORT_ITEM_S)
         md = mindist_paa_sax(qp, self.sax, self.length, self.bits)
         bid, bdist, visited = sims_scan(
             query, md, self.series, self.ids, np.arange(self.n_series),

@@ -19,29 +19,34 @@ Pipeline (the paper's lines map directly onto Spark stages):
 ``materialized=True`` is Coconut-Tree-Full (series stored in the
 leaves); otherwise the leaves hold ids and a stand-in raw file is
 written.  ``merge_batch`` is the bulk-update path of Fig 10a (§4.3): it
-summarizes only the batch, sorts it in driver memory, and stream-merges
-it into the old sorted run, which is read once and never re-summarized
-or re-sorted; it is charged as that streaming merge.
+collects only the batch, keys and sorts it in driver memory, with the
+summarizer's key function and no Spark stage, and stream-merges it into
+the old sorted run, which is read once and never re-summarized or
+re-sorted; it is charged as that streaming merge.
 """
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Iterator
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, Observation, SparkSession
+import pyarrow as pa
+import pyarrow.compute as pc
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.coconut_common import (
     CoconutIndex,
+    as_matrix,
     directory_from_summaries,
     merge_index_files,
     write_index_files,
 )
 from repro.core.sort_rank import global_sort_with_rank, wave_partitions
 from repro.core.zorder import zkeys
-from repro.storage.disk_model import DiskConfig, DiskModel, external_sort_cost
+from repro.storage.disk_model import CPU_SORT_ITEM_S, DiskConfig, DiskModel, external_sort_cost
 
 
 def summarize_series(series_df: DataFrame, w: int, bits: int, *, keep_series: bool) -> DataFrame:
@@ -164,20 +169,20 @@ def build_coconut_tree(
     )
 
 
-def merge_batch(
-    index: CoconutIndex, batch_df: DataFrame, *, path: str | None = None
-) -> CoconutIndex:
+def merge_batch(index: CoconutIndex, batch_df: DataFrame, *, path: str) -> CoconutIndex:
     """Bulk-update (Fig 10a; the LSM-flavored path the paper motivates):
     merge the batch ``batch_df`` (id, series) into ``index`` as a new
     index at ``path``, and close ``index``.
 
-    Only the batch is summarized, in one Spark job that collects its
-    records to the driver.  There :func:`merge_index_files` sorts them by
-    (``zkey``, ``id``), the paper's in-memory batch buffer, streams the
-    old sorted run from the leaf file and merges the two, so the merged
-    file holds the records a rebuild over old plus batch would, in the
-    same order.  A batch whose series are not ``index.length`` long is a
-    ``ValueError``, raised on the driver before anything is written.
+    The batch is collected to the driver, the paper's in-memory batch
+    buffer, in the merge's one Spark job, and keyed there by
+    :func:`zkeys`, the key function :func:`summarize_series` applies.
+    :func:`merge_index_files` sorts it by (``zkey``, ``id``), streams
+    the old sorted run from the leaf file and merges the two, so the
+    merged file holds the records a rebuild over old plus batch would,
+    in the same order.  A batch with a series that is null or not
+    ``index.length`` long is a ``ValueError``, raised before anything is
+    written.
 
     The sim cost charged is that streaming merge: summarize the batch,
     sort it, then stream old index + new run in and the merged run out.
@@ -185,27 +190,23 @@ def merge_batch(
     touched leaf.
     """
     t0 = time.perf_counter()
-    new_path = path or f"{index.path}__merged"
-    # Count wrong-length series as the batch is scanned, and keep them
-    # out of the summarizer, so a bad batch fails here, not in a worker.
-    lengths, size = Observation(), F.size("series")
-    fits = F.coalesce(size == index.length, F.lit(False))
-    checked = batch_df.observe(
-        lengths, F.count_if(~fits).alias("bad"), F.min(size).alias("lo"), F.max(size).alias("hi")
-    ).where(fits)
-    batch = summarize_series(checked, index.w, index.bits, keep_series=True).toArrow()
-    seen = lengths.get
-    if seen["bad"]:
+    batch = batch_df.select("id", "series").toArrow()
+    series = batch.column("series")
+    lengths = pc.fill_null(pc.list_value_length(series), -1).to_numpy()
+    bad = lengths != index.length
+    if bad.any():
         raise ValueError(
-            f"{seen['bad']} batch series are not of length {index.length}, the "
-            f"index's (batch lengths {seen['lo']}..{seen['hi']})"
+            f"{bad.sum()} batch series are not of length {index.length}, the index's "
+            f"(batch lengths {lengths.min()}..{lengths.max()}, -1 for a null series)"
         )
+    keys = zkeys(as_matrix(series, index.length), index.w, index.bits)
+    batch = batch.append_column("zkey", pa.array(keys, pa.binary()))
     merge_index_files(
-        index.path, batch, new_path, materialized=index.materialized,
+        index.path, batch, path, materialized=index.materialized,
         block_series=index.disk_config.block_series,
     )
     directory, row_groups = directory_from_summaries(
-        f"{new_path}/leaves", _median_leaf_starts(index.leaf_capacity)
+        f"{path}/leaves", _median_leaf_starts(index.leaf_capacity)
     )
     # The merge cost: the batch is scanned+sorted, the old run is
     # streamed in, the merged run streamed out — no random I/O.
@@ -219,19 +220,9 @@ def merge_batch(
     disk.seq_write(c.blocks(n_old + b, series=mat))           # write merged
     disk.cpu_summarize(b)
     disk.cpu_sort(b)
-    disk.charge_cpu((n_old + b) * c.cpu_sort_item_s)          # merge pass
+    disk.charge_cpu((n_old + b) * CPU_SORT_ITEM_S)            # merge pass
     index.close()
-    return CoconutIndex(
-        path=new_path,
-        w=index.w,
-        bits=index.bits,
-        length=index.length,
-        leaf_capacity=index.leaf_capacity,
-        materialized=mat,
-        n_series=n_old + b,
-        directory=directory,
-        row_groups=row_groups,
-        build_disk=disk,
-        disk_config=c,
-        build_wall_s=time.perf_counter() - t0,
+    return replace(
+        index, path=path, n_series=n_old + b, directory=directory, row_groups=row_groups,
+        build_disk=disk, build_wall_s=time.perf_counter() - t0,
     )

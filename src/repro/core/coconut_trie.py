@@ -31,7 +31,7 @@ from repro.core.coconut_common import (
 from repro.core.coconut_tree import _series_length, summarize_series
 from repro.core.sort_rank import global_sort_with_rank
 from repro.core.zorder import first64
-from repro.storage.disk_model import DiskConfig, DiskModel, external_sort_cost
+from repro.storage.disk_model import CPU_INSERT_ITEM_S, DiskConfig, DiskModel, external_sort_cost
 
 #: Prefix depth beyond which a group becomes an (oversized) leaf — 62
 #: interleaved bits is far deeper than any real split needs and keeps
@@ -88,7 +88,7 @@ def charge_trie_build(disk: DiskModel, n: int, n_leaves: int, leaf_capacity: int
     disk.cpu_sort(n)
     # CompactSubtree: repeated sibling-merge sweeps over the leaf level
     # (the paper: CTrie "spends a significant time in compacting").
-    disk.charge_cpu(3 * n * c.cpu_insert_item_s)
+    disk.charge_cpu(3 * n * CPU_INSERT_ITEM_S)
     external_sort_cost(disk, n, c.records_per_block(series=False), c.memory_records(series=False))
     disk.seq_read(sum_blocks)  # compaction pass over summaries
     disk.seq_write(sum_blocks)

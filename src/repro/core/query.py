@@ -39,7 +39,7 @@ from repro.core.mindist import mindist_paa_sax
 from repro.core.paa import paa
 from repro.core.sax import symbols_from_paa
 from repro.core.zorder import interleave
-from repro.storage.disk_model import DiskModel
+from repro.storage.disk_model import CPU_SORT_ITEM_S, DiskModel
 
 
 @dataclass
@@ -91,9 +91,9 @@ def _leaf_window(index: CoconutIndex, pos: int, radius: int) -> slice:
 
 def _true_distances(
     index: CoconutIndex, leaf_pdf: pd.DataFrame, query: np.ndarray, disk: DiskModel
-) -> pd.DataFrame:
-    """(id, dist) for every record in ``leaf_pdf``, fetching raw series
-    from the stand-in raw file when the index is secondary."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, distances) of every record in ``leaf_pdf``, fetching raw
+    series from the stand-in raw file when the index is secondary."""
     if index.materialized:
         mat = np.stack(leaf_pdf["series"].to_numpy())
         ids = leaf_pdf["id"].to_numpy()
@@ -105,7 +105,7 @@ def _true_distances(
         # each uncached fetch is a random block read.
         disk.rand_read(len(mat))
         ids = raw.id[pos]
-    return pd.DataFrame({"id": ids, "dist": euclidean(mat, np.asarray(query))})
+    return ids, euclidean(mat, np.asarray(query))
 
 
 def approximate_search(
@@ -131,14 +131,14 @@ def approximate_search(
         half = max(1, index.disk_config.block_series * radius // 2)
         lo = max(0, min(pos - half, len(leaf_pdf) - 2 * half))
         leaf_pdf = leaf_pdf.iloc[lo : lo + 2 * half]
-    dists = _true_distances(index, leaf_pdf, query, disk)
-    best = dists.loc[dists["dist"].idxmin()]
+    ids, dists = _true_distances(index, leaf_pdf, query, disk)
+    best = np.nanargmin(dists)  # a NaN series is never the answer; ties go to the first
     return SearchResult(
-        id=int(best["id"]),
-        distance=float(best["dist"]),
+        id=int(ids[best]),
+        distance=float(dists[best]),
         leaves_visited=len(window),
         visited_records=len(dists),
-        approx_distance=float(best["dist"]),
+        approx_distance=float(dists[best]),
         disk=disk,
         wall_s=time.perf_counter() - t0,
     )
@@ -214,7 +214,7 @@ def exact_search(
     disk.merge(approx.disk)
     # In-memory lower-bound computation over all N summaries (parallel
     # threads in the paper): CPU-only, one compare-scale op per summary.
-    disk.charge_cpu(index.n_series * index.disk_config.cpu_sort_item_s)
+    disk.charge_cpu(index.n_series * CPU_SORT_ITEM_S)
 
     md = mindist_paa_sax(qp, sums.sax, index.length, index.bits)
     keep = np.flatnonzero(md < approx.distance)  # candidate ranks: row i is rank i

@@ -15,7 +15,7 @@ statistics from it.
 
 Random and sequential I/Os are tracked separately: a random I/O pays a
 seek, a sequential run pays bandwidth only.  Simulated time =
-``seeks * seek_s + bytes / bandwidth``, with HDD-like defaults (5 ms
+``seeks * SEEK_S + bytes / BANDWIDTH_BPS``, with HDD-like constants (5 ms
 seek, 150 MB/s — the shape, not the brand, matters).
 """
 from __future__ import annotations
@@ -23,24 +23,24 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
+SEEK_S = 0.005
+BANDWIDTH_BPS = 150e6
+# CPU calibration. Without a CPU term every ample-memory build would cost
+# ~0 simulated seconds and the paper's high-memory regime (where ADS+
+# slightly beats CTree by skipping the sort, Fig 8b) could not appear.
+CPU_SUMMARIZE_ITEM_S = 1e-6   # PAA + SAX + z-key per series
+CPU_SORT_ITEM_S = 2e-7        # per item per log2 level of a sort
+CPU_INSERT_ITEM_S = 2e-6      # tree descend + buffered append
+
 
 @dataclass
 class DiskConfig:
-    """Geometry and cost parameters, in units of *series* where noted."""
+    """Geometry parameters, in units of *series* where noted."""
 
     block_series: int = 32          # B: series per disk block (2 KB series, 64 KB block)
     memory_series: int = 1_000_000  # M: series that fit in main memory
     series_bytes: int = 2048        # raw bytes of one series (256 float64)
     summary_bytes: int = 24         # invSAX/SAX key (16 B) + offset (8 B)
-    seek_s: float = 0.005
-    bandwidth_bps: float = 150e6
-    # CPU calibration knobs. Without a CPU term every ample-memory build
-    # would cost ~0 simulated seconds and the paper's high-memory regime
-    # (where ADS+ slightly beats CTree by skipping the sort, Fig 8b)
-    # could not appear.
-    cpu_summarize_item_s: float = 1e-6   # PAA + SAX + z-key per series
-    cpu_sort_item_s: float = 2e-7        # per item per log2 level of a sort
-    cpu_insert_item_s: float = 2e-6      # tree descend + buffered append
 
     @property
     def block_bytes(self) -> int:
@@ -124,17 +124,17 @@ class DiskModel:
         self.cpu_s += seconds
 
     def cpu_summarize(self, n_items: int) -> None:
-        self.cpu_s += n_items * self.config.cpu_summarize_item_s
+        self.cpu_s += n_items * CPU_SUMMARIZE_ITEM_S
 
     def cpu_sort(self, n_items: int) -> None:
         """Comparison-sort CPU: n · log2(n) · per-item rate."""
         import math
 
         if n_items > 1:
-            self.cpu_s += n_items * math.log2(n_items) * self.config.cpu_sort_item_s
+            self.cpu_s += n_items * math.log2(n_items) * CPU_SORT_ITEM_S
 
     def cpu_insert(self, n_items: int) -> None:
-        self.cpu_s += n_items * self.config.cpu_insert_item_s
+        self.cpu_s += n_items * CPU_INSERT_ITEM_S
 
     def rand_read(self, blocks: int = 1) -> None:
         """``blocks`` independent random block reads (each pays a seek)."""
@@ -169,11 +169,10 @@ class DiskModel:
         )
 
     def seconds(self) -> float:
-        """Simulated elapsed time under the cost parameters."""
-        c = self.config
+        """Simulated elapsed time under the cost constants."""
         return (
-            self.total_seeks * c.seek_s
-            + self.total_blocks * c.block_bytes / c.bandwidth_bps
+            self.total_seeks * SEEK_S
+            + self.total_blocks * self.config.block_bytes / BANDWIDTH_BPS
             + self.cpu_s
         )
 

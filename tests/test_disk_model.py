@@ -2,6 +2,9 @@
 import pytest
 
 from repro.storage.disk_model import (
+    BANDWIDTH_BPS,
+    CPU_SORT_ITEM_S,
+    SEEK_S,
     DiskConfig,
     DiskModel,
     LRUPageBuffer,
@@ -32,7 +35,7 @@ class TestDiskModel:
         d = DiskModel(config=c)
         d.rand_read(2)
         d.seq_write(10)
-        expected = 3 * c.seek_s + 12 * c.block_bytes / c.bandwidth_bps
+        expected = 3 * SEEK_S + 12 * c.block_bytes / BANDWIDTH_BPS
         assert d.seconds() == pytest.approx(expected)
 
     def test_cpu_included_in_seconds(self):
@@ -41,10 +44,9 @@ class TestDiskModel:
         assert d.seconds() == pytest.approx(1.5)
 
     def test_cpu_sort_nlogn(self):
-        c = cfg()
-        d = DiskModel(config=c)
+        d = DiskModel(config=cfg())
         d.cpu_sort(1024)
-        assert d.cpu_s == pytest.approx(1024 * 10 * c.cpu_sort_item_s)
+        assert d.cpu_s == pytest.approx(1024 * 10 * CPU_SORT_ITEM_S)
 
     def test_merge_accumulates(self):
         a, b = DiskModel(config=cfg()), DiskModel(config=cfg())

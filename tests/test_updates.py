@@ -6,7 +6,7 @@ import pandas as pd
 import pyarrow.parquet as pq
 import pytest
 
-from repro.core import coconut_common
+from repro.core import coconut_common, coconut_tree
 from repro.core.coconut_tree import build_coconut_tree, merge_batch
 from repro.core.query import exact_search
 from repro.storage.disk_model import DiskConfig
@@ -177,14 +177,20 @@ class TestIdsAreNotPositions:
 
 
 class TestMergeInput:
-    def test_merge_starts_one_spark_job(self, spark, tmp_path):
-        """Only the batch is summarized, in the one job that collects it;
-        the old run is streamed from its file, not through Spark."""
+    def test_merge_starts_one_spark_job(self, spark, tmp_path, monkeypatch):
+        """The one Spark job collects the batch, which is keyed on the
+        driver, not by the Spark summarizer; the old run is streamed
+        from its file, not through Spark."""
         old = build_coconut_tree(
             spark, series_collection(spark, n_series=200, length=LENGTH, seed=51),
             path=str(tmp_path / "old"), materialized=True, **KW,
         )
         batch = series_collection(spark, n_series=50, length=LENGTH, seed=51, id_offset=200)
+
+        def no_summarizer(*args, **kwargs):
+            raise AssertionError("merge_batch called summarize_series")
+
+        monkeypatch.setattr(coconut_tree, "summarize_series", no_summarizer)
         out = []
         jobs = jobs_under_group(spark, "merge-batch", lambda: out.append(
             merge_batch(old, batch, path=str(tmp_path / "merged"))
@@ -193,12 +199,14 @@ class TestMergeInput:
         assert len(jobs) <= 1
         out[0].close()
 
-    @pytest.mark.parametrize("lengths", [(32,), (LENGTH, 32)], ids=["short", "mixed"])
+    @pytest.mark.parametrize(
+        "lengths", [(32,), (LENGTH, 32), (LENGTH, None)], ids=["short", "mixed", "null"]
+    )
     def test_wrong_length_batch_raises_on_driver(self, spark, tmp_path, merged_index, lengths):
-        """A batch whose series are not the index's length is a
-        ``ValueError`` from ``merge_batch`` itself, not a worker failure,
-        and nothing is written."""
-        rows = [np.zeros(lengths[i % len(lengths)]) for i in range(6)]
+        """A batch with a series that is null or not the index's length
+        is a ``ValueError`` from ``merge_batch`` itself, not a worker
+        failure, and nothing is written."""
+        rows = [None if n is None else np.zeros(n) for n in (lengths * 6)[:6]]
         batch = spark.createDataFrame(
             pd.DataFrame({"id": 1000 + np.arange(6), "series": rows}),
             "id long, series array<double>",
