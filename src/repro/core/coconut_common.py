@@ -15,11 +15,15 @@ comparison (paper §4.2 vs §4.3) clean:
   the directory, not in the records.  Materialized leaves are written
   in row groups of at most B series (``DiskConfig.block_series``), one
   modeled disk block each.
-- ``<path>/raw``     — Parquet (id, series): stands in for the paper's
-  raw series file; only written for non-materialized (secondary)
-  indexes, whose leaves hold ids ("offsets") instead of series.  It is
-  written in row groups of at most B series, and a series is addressed
-  by its *position*: its row in the part files taken in name order.
+- ``<path>/raw``     — the paper's raw data file, a flat binary array
+  of series; only written for non-materialized (secondary) indexes,
+  whose leaves hold ids ("offsets") instead of series.  It has one part
+  per input partition, written by the summarization scan: a part's
+  series as ``length``-wide rows of little-endian float64
+  (``part-<hex>.series``) and their int64 ids (``part-<hex>.id``).  A
+  series is addressed by its *position*: its row in the parts taken in
+  name order, so it sits at byte ``position · length · 8`` of their
+  concatenation.
 - a driver-side *leaf directory* (leaf id, min/max z-key, count, in
   file order): the in-memory internal levels of the tree/trie, built
   from the leaf file's keys and the builder's leaf starts.
@@ -28,13 +32,16 @@ comparison (paper §4.2 vs §4.3) clean:
   summarizations" used by the SIMS exact search, decoded from the
   leaves' keys on first use.
 - a driver-resident :class:`RawFile` (secondary indexes): each id's
-  raw-file position, read once from the raw ``id`` column.  It stands in
+  raw-file position, read once from the raw file's ids.  It stands in
   for the file offset the paper stores in each leaf entry.
 
-Spark writes the files; the directory and queries read them back with
-``pyarrow.parquet``, so neither starts a Spark job.  Both read rows by
-position (:meth:`RowGroups.take`): only the row groups that hold the
-requested positions are decoded.
+Spark writes the leaf file, and its summarization tasks the raw file;
+the directory and queries read them back on the driver, so neither
+starts a Spark job.  Both read rows by position: leaf records through
+:meth:`RowGroups.take`, which decodes only the row groups that hold the
+requested positions, and raw series through :meth:`RawFile.take`, which
+reads only the B-series blocks that hold them, one ``pread`` per
+contiguous run.
 
 They differ only in where a leaf starts (every ``leaf_capacity``-th
 rank vs a prefix boundary) and in construction cost accounting.
@@ -134,12 +141,13 @@ def read_with_row_groups(directory: str, columns: list[str]) -> tuple[pa.Table, 
     return pa.concat_tables(tables), RowGroups(files, file, index, np.cumsum(rows) - rows, rows)
 
 
-def as_matrix(series: pa.ChunkedArray, length: int) -> np.ndarray:
+def as_matrix(series: pa.Array | pa.ChunkedArray, length: int) -> np.ndarray:
     """A ``series`` column of equal-length lists as one ``(k, length)``
-    float64 array, without a Python object per row.  A null value (a NaN
-    stored by Spark's pandas conversion) reads as NaN."""
-    values = series.combine_chunks().flatten()
-    return values.to_numpy(zero_copy_only=False).reshape(-1, length)
+    float64 array, without a Python object per row.  A null value reads
+    as NaN."""
+    if isinstance(series, pa.ChunkedArray):
+        series = series.combine_chunks()
+    return series.flatten().to_numpy(zero_copy_only=False).reshape(-1, length)
 
 
 @dataclass
@@ -154,23 +162,89 @@ class Summaries:
     pos: np.ndarray
 
 
+RAW_SERIES, RAW_IDS = ".series", ".id"  # the two files of a raw part
+
+
+def raw_part(directory: str, part: int) -> str:
+    """The path, less its suffix, of the raw part named by ``part``."""
+    return os.path.join(directory, f"part-{part:016x}")
+
+
+def raw_parts(directory: str) -> list[str]:
+    """The raw parts in ``directory``, by name: paths less their suffix."""
+    return sorted(
+        os.path.join(directory, f[: -len(RAW_IDS)])
+        for f in os.listdir(directory)
+        if f.endswith(RAW_IDS)
+    )
+
+
+class RawWriter:
+    """Appends runs of series to the raw parts in ``directory``: a
+    part's rows to its ``.series`` file, as little-endian float64, and
+    their ids to its ``.id`` file.  Rows carry ascending sequence
+    numbers, and a part holds consecutive ones: a run that continues
+    the last part appended to goes on in it; any other starts a part
+    named after its first number.  A part is truncated when it is
+    started, so a task that runs again rewrites its parts instead of
+    appending to them twice."""
+
+    def __init__(self, directory: str):
+        self.directory = directory
+        self.files: list[tuple] = []
+        self.next = -1   # the number that continues the last part
+
+    def append(self, first: int, ids: np.ndarray, series: np.ndarray) -> None:
+        """Rows numbered ``first``, ``first + 1``, ...: their ids and
+        their series, one row each."""
+        if first != self.next:
+            stem = raw_part(self.directory, first)
+            self.files.append((open(stem + RAW_SERIES, "wb"), open(stem + RAW_IDS, "wb")))
+        out_series, out_ids = self.files[-1]
+        out_series.write(np.ascontiguousarray(series, dtype="<f8").data)
+        out_ids.write(np.ascontiguousarray(ids, dtype="<i8").data)
+        self.next = first + len(ids)
+
+    def __enter__(self) -> RawWriter:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for pair in self.files:
+            for f in pair:
+                f.close()
+
+
 @dataclass
 class RawFile:
-    """A secondary index's raw file: its row groups, and the position of
-    every id in it, which stands in for the file offset the paper stores
-    in each leaf entry.  A merged index's raw file ends with the batch,
-    so an id is not its position."""
+    """A secondary index's raw file: its parts' series files, the first
+    position of each part (then N), and the position of every id, which
+    stands in for the file offset the paper stores in each leaf entry.
+    A merged index's raw file ends with the batch, so an id is not its
+    position.
 
-    groups: RowGroups
+    A part file is opened on its first read and stays open until
+    :meth:`close`.  It is read with ``pread`` into numpy buffers, not
+    mapped: the pages a map touches would stay in the driver's memory."""
+
+    files: list[str]
+    first: np.ndarray     # ascending; N last
+    length: int
     id: np.ndarray        # the id at each position
     by_id: np.ndarray     # positions in ascending id order
+    fds: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
-    def load(cls, directory: str) -> RawFile:
-        """One read of the raw file's ``id`` column."""
-        t, groups = read_with_row_groups(directory, ["id"])
-        ids = t.column("id").to_numpy()
-        return cls(groups, ids, np.argsort(ids, kind="stable"))
+    def load(cls, directory: str, length: int) -> RawFile:
+        """One read of each part's ids; the series files are checked to
+        hold ``length``-wide rows for them."""
+        parts = raw_parts(directory)
+        ids = [np.fromfile(p + RAW_IDS, dtype="<i8") for p in parts]
+        for p, i in zip(parts, ids):
+            if os.path.getsize(p + RAW_SERIES) != len(i) * length * 8:
+                raise ValueError(f"{p}{RAW_SERIES} does not hold {len(i)} series of length {length}")
+        first = np.cumsum([0, *map(len, ids)])
+        ids = np.concatenate(ids) if ids else np.empty(0, dtype=np.int64)
+        return cls([p + RAW_SERIES for p in parts], first, length, ids, np.argsort(ids, kind="stable"))
 
     def positions(self, ids: np.ndarray) -> np.ndarray:
         """The raw-file position of each of ``ids``; an id not in the
@@ -181,6 +255,49 @@ class RawFile:
         if not np.array_equal(self.id[pos], ids):
             raise KeyError("ids not in the raw file")
         return pos
+
+    def take(self, positions: np.ndarray, block_series: int) -> np.ndarray:
+        """The series at ``positions``, in the order given, as one ``(k,
+        length)`` array.  The file is read in blocks of ``block_series``
+        series (block ``b`` holds positions ``b·B`` to ``b·B + B - 1``):
+        each contiguous run of blocks holding a position is read with one
+        ``pread`` per part file it spans, into one buffer, and the rows
+        asked for are picked from it."""
+        pos = np.asarray(positions, dtype=np.int64)
+        n = int(self.first[-1])
+        if len(pos) and (pos.min() < 0 or pos.max() >= n):
+            raise IndexError(f"positions outside 0..{n - 1}")
+        block = pos // block_series
+        blocks = np.unique(block)
+        buf = np.empty((len(blocks) * block_series, self.length), dtype="<f8")  # block i at row i·B
+        for run in np.split(np.arange(len(blocks)), np.flatnonzero(np.diff(blocks) != 1) + 1):
+            if len(run):
+                lo = int(blocks[run[0]]) * block_series
+                hi = min(int(blocks[run[-1]] + 1) * block_series, n)
+                at = int(run[0]) * block_series
+                self._read(lo, hi, buf[at : at + hi - lo])
+        return buf[np.searchsorted(blocks, block) * block_series + pos % block_series]
+
+    def _read(self, lo: int, hi: int, out: np.ndarray) -> None:
+        """The series at positions ``lo..hi-1`` into ``out``: one
+        ``pread`` per part file they span."""
+        row_bytes = self.length * 8
+        for j in range(int(np.searchsorted(self.first, lo, side="right")) - 1,
+                       int(np.searchsorted(self.first, hi, side="left"))):
+            a, b = max(lo, int(self.first[j])), min(hi, int(self.first[j + 1]))
+            if a >= b:
+                continue  # an empty part
+            if j not in self.fds:
+                self.fds[j] = os.open(self.files[j], os.O_RDONLY)
+            into = out[a - lo : b - lo]
+            if os.preadv(self.fds[j], [into], (a - int(self.first[j])) * row_bytes) != into.nbytes:
+                raise EOFError(f"{self.files[j]} is shorter than its ids")
+
+    def close(self) -> None:
+        """Close the part files opened so far; a later read reopens them."""
+        for fd in self.fds.values():
+            os.close(fd)
+        self.fds.clear()
 
 
 @dataclass
@@ -222,20 +339,20 @@ class CoconutIndex(LeafStats):
         return self.row_groups.take(ranks, columns).to_pandas(use_threads=False)
 
     def raw_file(self) -> RawFile:
-        """The raw file's row groups and id positions, read on first use
-        and resident afterwards.  Like the offsets in the paper's leaf
+        """The raw file's parts and id positions, read on first use and
+        resident afterwards.  Like the offsets in the paper's leaf
         entries, reading them is not charged."""
         if self.raw is None:
-            self.raw = RawFile.load(f"{self.path}/raw")
+            self.raw = RawFile.load(f"{self.path}/raw", self.length)
         return self.raw
 
     def fetch_raw(self, positions: np.ndarray) -> np.ndarray:
         """The raw series at the given raw-file positions, in the order
         given, as one ``(k, length)`` array (secondary indexes only): the
-        paper's 'go to the raw data file' step.  Only the row groups (B
-        series each) that hold them are read."""
-        series = self.raw_file().groups.take(positions, ["series"]).column("series")
-        return as_matrix(series, self.length)
+        paper's 'go to the raw data file' step.  Only the blocks (B
+        series each) that hold them are read, one read per contiguous
+        run of blocks, as SIMS is charged for them."""
+        return self.raw_file().take(positions, self.disk_config.block_series)
 
     def load_summaries(self) -> Summaries:
         """Read the leaf file's (id, zkey) in one pass and decode the SAX
@@ -256,7 +373,7 @@ class CoconutIndex(LeafStats):
         close the open part files."""
         self.row_groups.close()
         if self.raw is not None:
-            self.raw.groups.close()
+            self.raw.close()
         self.summaries = None
         self.raw = None
 
@@ -282,10 +399,10 @@ def directory_from_summaries(
 
 def _in_blocks(writer: DataFrameWriter, block_series: int) -> DataFrameWriter:
     """``writer`` ending a Parquet row group every ``block_series``
-    records, one modeled disk block.  Parquet checks a group's size only
-    every so many records; the check runs every ``block_series`` records,
-    and a 1-byte target size makes each check close the group.  A task's
-    last group holds the rest."""
+    records, one modeled disk block: a materialized index's leaves.
+    Parquet checks a group's size only every so many records; the check
+    runs every ``block_series`` records, and a 1-byte target size makes
+    each check close the group.  A task's last group holds the rest."""
     return (
         writer.option("parquet.block.size", 1)
         .option("parquet.page.size.row.check.min", block_series)
@@ -294,18 +411,14 @@ def _in_blocks(writer: DataFrameWriter, block_series: int) -> DataFrameWriter:
 
 
 def write_index_files(
-    summaries: DataFrame,
-    raw_df: DataFrame | None,
-    path: str,
-    *,
-    materialized: bool,
-    block_series: int,
+    summaries: DataFrame, *, path: str, materialized: bool, block_series: int
 ) -> None:
-    """Write the leaf level (and the stand-in raw file for secondary
-    indexes) to the local filesystem.  ``summaries`` is the globally
-    sorted frame, range-partitioned by key, so its part files, in name
-    order, hold ranks 0..N-1.  Files holding series are written in row
-    groups of at most ``block_series`` series."""
+    """Write the leaf level to the local filesystem.  ``summaries`` is
+    the globally sorted frame, range-partitioned by key, so its part
+    files, in name order, hold ranks 0..N-1.  Materialized leaves are
+    written in row groups of at most ``block_series`` series.  A
+    secondary index's raw file is written by the summarization scan,
+    which runs in this write."""
     cols = list(SUMMARY_COLS)
     if materialized:
         cols.append("series")
@@ -313,11 +426,6 @@ def write_index_files(
     if materialized:
         leaves = _in_blocks(leaves, block_series)
     leaves.parquet(f"{path}/leaves")
-    if not materialized:
-        if raw_df is None:
-            raise ValueError("secondary index requires the raw series DataFrame")
-        raw = raw_df.select("id", "series").write.mode("overwrite")
-        _in_blocks(raw, block_series).parquet(f"{path}/raw")
 
 
 # Records read, merged and written at a time by the merge.  Each chunk
@@ -352,11 +460,13 @@ def _link_or_copy(src: str, dst: str) -> None:
 
 
 def merge_index_files(
-    old: str, batch: pa.Table, path: str, *, materialized: bool, block_series: int
+    old: str, batch: pa.Table, series: np.ndarray, path: str, *,
+    materialized: bool, block_series: int,
 ) -> None:
     """Write the index files of the index at ``old`` merged with
-    ``batch`` (``id, zkey, series`` records, in arrival order) to
-    ``path``: the streaming merge of two sorted runs.
+    ``batch`` (``id, zkey, series`` records, in arrival order; its series
+    also as the matrix ``series``) to ``path``: the streaming merge of
+    two sorted runs.
 
     The batch is sorted in memory by (``zkey``, ``id``).  The old leaf
     file is streamed part file by part file, in name order (empty part
@@ -367,9 +477,9 @@ def merge_index_files(
     takes every batch record after it.  So the output's part files, in
     name order, again hold ranks 0..N-1.  Materialized leaves are
     written in row groups of at most ``block_series`` series.
-    Secondary indexes get a ``raw`` directory of the old raw part files,
-    shared or copied, followed by one part file of the batch's series in
-    arrival order, in row groups of ``block_series`` series.  Nothing is read through Spark, and nothing is
+    Secondary indexes get a ``raw`` directory of the old raw parts,
+    shared or copied, followed by one part of the batch's series in
+    arrival order.  Nothing is read through Spark, and nothing is
     dictionary-encoded: keys and series are near-unique.
     """
     parts = []
@@ -402,12 +512,10 @@ def merge_index_files(
     if not materialized:
         raw = f"{path}/raw"
         os.makedirs(raw)
-        old_raw = _part_files(f"{old}/raw")
-        for i, f in enumerate(old_raw):
-            _link_or_copy(f, f"{raw}/part-{i:05d}.parquet")
+        old_raw = raw_parts(f"{old}/raw")
+        for i, stem in enumerate(old_raw):
+            for suffix in (RAW_SERIES, RAW_IDS):
+                _link_or_copy(stem + suffix, raw_part(raw, i) + suffix)
         if len(batch):
-            pq.write_table(
-                batch.select(["id", "series"]).cast(pq.read_schema(old_raw[0])),
-                f"{raw}/part-{len(old_raw):05d}.parquet", use_dictionary=False,
-                row_group_size=block_series,
-            )
+            with RawWriter(raw) as out:
+                out.append(len(old_raw), batch.column("id").to_numpy(), series)

@@ -3,7 +3,9 @@
 Pipeline (the paper's lines map directly onto Spark stages):
 
 1. lines 2–8   — one scan of the raw series computing (invSAX, position):
-   ``mapInPandas`` summarization pass.
+   the ``mapInArrow`` summarization pass.  For a secondary index the
+   same scan writes the raw file, the paper's flat binary series file,
+   in the input's order, so a series' position is its row there.
 2. lines 9–12  — external sort by invSAX: ``repartitionByRange`` +
    ``sortWithinPartitions`` (``repro.core.sort_rank``), run as the
    leaves are written.
@@ -17,8 +19,8 @@ Pipeline (the paper's lines map directly onto Spark stages):
    by construction.
 
 ``materialized=True`` is Coconut-Tree-Full (series stored in the
-leaves); otherwise the leaves hold ids and a stand-in raw file is
-written.  ``merge_batch`` is the bulk-update path of Fig 10a (§4.3): it
+leaves); otherwise the leaves hold ids and the raw file holds the
+series.  ``merge_batch`` is the bulk-update path of Fig 10a (§4.3): it
 collects only the batch, keys and sorts it in driver memory, with the
 summarizer's key function and no Spark stage, and stream-merges it into
 the old sorted run, which is read once and never re-summarized or
@@ -26,12 +28,14 @@ re-sorted; it is charged as that streaming merge.
 """
 from __future__ import annotations
 
+import os
+import shutil
 import time
+from contextlib import nullcontext
 from dataclasses import replace
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 from pyspark.sql import DataFrame, SparkSession
@@ -39,6 +43,7 @@ from pyspark.sql import functions as F
 
 from repro.core.coconut_common import (
     CoconutIndex,
+    RawWriter,
     as_matrix,
     directory_from_summaries,
     merge_index_files,
@@ -49,46 +54,88 @@ from repro.core.zorder import zkeys
 from repro.storage.disk_model import CPU_SORT_ITEM_S, DiskConfig, DiskModel, external_sort_cost
 
 
-def summarize_series(series_df: DataFrame, w: int, bits: int, *, keep_series: bool) -> DataFrame:
+def summarize_series(
+    series_df: DataFrame, w: int, bits: int, length: int, *, raw: str | None
+) -> tuple[DataFrame, Callable[[], None]]:
     """(id, series) -> (id, zkey[, series]): Algorithm 3 lines 2–8.
 
     The one summarization pass of both Coconut variants: a single scan of
     the raw data computing each series' invSAX key, a fixed-width
-    ``binary`` value that also encodes its SAX word.  The input is
-    coalesced to one partition per core (:func:`wave_partitions`), so
-    the Python tasks, each with a fixed start-up cost far above its
-    summarizing work at these sizes, run as a single wave.
+    ``binary`` value that also encodes its SAX word.  With ``raw=None``
+    (a materialized index) the series stay in the output, for the
+    leaves; otherwise this scan writes them to the raw file in the
+    directory ``raw`` (emptied now, on the driver), in ``series_df``'s
+    partition order, so a series' raw position is its row in that order.
+
+    The input is coalesced to one partition per core
+    (:func:`wave_partitions`), so the Python tasks, each with a fixed
+    start-up cost far above its summarizing work at these sizes, run as
+    a single wave.  A task gets whole input partitions, but one Arrow
+    batch may hold two, so rows are first numbered by
+    ``monotonically_increasing_id``: consecutive within a partition,
+    rising across partitions.  Each run of consecutive numbers is one
+    raw part.  (``spark_partition_id`` would not do: over a frame made
+    from driver-side data, Spark evaluates it on the driver, as 0.)
+
+    A series that is null or not ``length`` long is counted and
+    dropped.  Returns the summaries and a check to call once they have
+    been computed: it raises ``ValueError`` if any series was dropped.
     """
-
     schema = "id long, zkey binary"
-    if keep_series:
+    if raw is None:
         schema += ", series array<double>"
+    else:
+        shutil.rmtree(raw, ignore_errors=True)
+        os.makedirs(raw)
+    dropped = series_df.sparkSession.sparkContext.accumulator(0)
 
-    def compute(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            out = {
-                "id": pdf["id"].to_numpy(),
-                "zkey": zkeys(np.stack(pdf["series"].to_numpy()), w, bits),
-            }
-            if keep_series:
-                out["series"] = list(pdf["series"])
-            yield pd.DataFrame(out)
+    def compute(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
+        with RawWriter(raw) if raw is not None else nullcontext() as out:
+            for rb in batches:
+                ok = pc.fill_null(pc.list_value_length(rb.column("series")), -1).to_numpy() == length
+                if not ok.all():
+                    dropped.add(int((~ok).sum()))
+                    rb = rb.filter(pa.array(ok))
+                if len(rb) == 0:
+                    continue
+                mat = as_matrix(rb.column("series"), length)
+                cols = {"id": rb.column("id"), "zkey": pa.array(zkeys(mat, w, bits), pa.binary())}
+                if out is None:
+                    cols["series"] = rb.column("series")
+                else:
+                    ids, seq = rb.column("id").to_numpy(), rb.column("seq").to_numpy()
+                    cuts = [0, *(np.flatnonzero(np.diff(seq) != 1) + 1), len(seq)]
+                    for lo, hi in zip(cuts, cuts[1:]):
+                        out.append(int(seq[lo]), ids[lo:hi], mat[lo:hi])
+                yield pa.record_batch(cols)
 
-    return (
-        series_df.select("id", "series")
+    def check() -> None:
+        if dropped.value:
+            raise ValueError(
+                f"{dropped.value} series are null or not of length {length}, "
+                "the first series' length"
+            )
+
+    cols = ["id", "series"]
+    if raw is not None:
+        cols.append(F.monotonically_increasing_id().alias("seq"))
+    summaries = (
+        series_df.select(*cols)
         .coalesce(wave_partitions(series_df))
-        .mapInPandas(compute, schema=schema)
+        .mapInArrow(compute, schema=schema)
     )
+    return summaries, check
 
 
 def _series_length(series_df: DataFrame, w: int) -> int:
-    """Length of the first series.  An index over no series, or one whose
-    ``w`` segments do not divide the length, is an error on the driver."""
+    """Length of the first series.  An index over no series, one whose
+    first series is null, or one whose ``w`` segments do not divide the
+    length, is an error on the driver."""
     first = series_df.select(F.size("series").alias("n")).first()
     if first is None:
         raise ValueError("cannot build an index over an empty series DataFrame")
+    if first["n"] is None or first["n"] < 0:  # size(null): null, or -1 in legacy mode
+        raise ValueError("the first series is null, so the series length is unknown")
     n = int(first["n"])
     if n % w:
         raise ValueError(f"segment count w={w} must divide series length n={n}")
@@ -138,15 +185,17 @@ def build_coconut_tree(
     t0 = time.perf_counter()
     length = _series_length(series_df, w)
 
-    summaries = summarize_series(series_df, w, bits, keep_series=materialized)
+    summaries, check_lengths = summarize_series(
+        series_df, w, bits, length, raw=None if materialized else f"{path}/raw"
+    )
     ordered, release = global_sort_with_rank(summaries, "zkey")
     try:
         write_index_files(
-            ordered, None if materialized else series_df, path,
-            materialized=materialized, block_series=cfg.block_series,
+            ordered, path=path, materialized=materialized, block_series=cfg.block_series
         )
     finally:
         release()
+    check_lengths()
     directory, row_groups = directory_from_summaries(
         f"{path}/leaves", _median_leaf_starts(leaf_capacity)
     )
@@ -199,10 +248,10 @@ def merge_batch(index: CoconutIndex, batch_df: DataFrame, *, path: str) -> Cocon
             f"{bad.sum()} batch series are not of length {index.length}, the index's "
             f"(batch lengths {lengths.min()}..{lengths.max()}, -1 for a null series)"
         )
-    keys = zkeys(as_matrix(series, index.length), index.w, index.bits)
-    batch = batch.append_column("zkey", pa.array(keys, pa.binary()))
+    mat = as_matrix(series, index.length)
+    batch = batch.append_column("zkey", pa.array(zkeys(mat, index.w, index.bits), pa.binary()))
     merge_index_files(
-        index.path, batch, path, materialized=index.materialized,
+        index.path, batch, mat, path, materialized=index.materialized,
         block_series=index.disk_config.block_series,
     )
     directory, row_groups = directory_from_summaries(

@@ -116,15 +116,17 @@ def build_coconut_trie(
     capacity = leaf_capacity
     start_depth = w  # first trie level: 1 bit from each of the w segments
 
-    summaries = summarize_series(series_df, w, bits, keep_series=materialized)
+    summaries, check_lengths = summarize_series(
+        series_df, w, bits, length, raw=None if materialized else f"{path}/raw"
+    )
     ordered, release = global_sort_with_rank(summaries, "zkey")
     try:
         write_index_files(
-            ordered, None if materialized else series_df, path,
-            materialized=materialized, block_series=cfg.block_series,
+            ordered, path=path, materialized=materialized, block_series=cfg.block_series
         )
     finally:
         release()
+    check_lengths()
     directory, row_groups = directory_from_summaries(
         f"{path}/leaves",
         lambda zkey: prefix_leaf_starts(

@@ -21,8 +21,9 @@ traffic are accounted against the disk model.
 Series are fetched by file position: a secondary index's candidates by
 their raw-file positions (held in the resident summaries, or mapped
 from the leaf entries' ids), a materialized index's by their ranks in
-the leaf file.  Only the row groups, B series each, that hold those
-positions are read, with pyarrow, so neither search starts a Spark job.
+the leaf file.  Only what holds those positions is read, B series at a
+time: the raw file's blocks, by offset, or the leaf file's row groups,
+with pyarrow.  Neither search starts a Spark job.
 The refine computes every candidate's distance in one vectorized call.
 """
 from __future__ import annotations
@@ -93,7 +94,7 @@ def _true_distances(
     index: CoconutIndex, leaf_pdf: pd.DataFrame, query: np.ndarray, disk: DiskModel
 ) -> tuple[np.ndarray, np.ndarray]:
     """(ids, distances) of every record in ``leaf_pdf``, fetching raw
-    series from the stand-in raw file when the index is secondary."""
+    series from the raw file when the index is secondary."""
     if index.materialized:
         mat = np.stack(leaf_pdf["series"].to_numpy())
         ids = leaf_pdf["id"].to_numpy()

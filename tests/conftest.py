@@ -61,6 +61,16 @@ def read_in_file_order(path: str, columns: list[str] | None = None) -> pd.DataFr
     return pdf
 
 
+def read_raw(path: str, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ids and the ``(N, length)`` series of the raw file ``path``,
+    in position order: its parts, in name order, each an ``.id`` file of
+    int64 ids and a ``.series`` file of ``length``-wide float64 rows."""
+    stems = sorted(f[: -len(".id")] for f in os.listdir(path) if f.endswith(".id"))
+    ids = [np.fromfile(os.path.join(path, s + ".id"), dtype="<i8") for s in stems]
+    series = [np.fromfile(os.path.join(path, s + ".series"), dtype="<f8") for s in stems]
+    return np.concatenate(ids), np.concatenate(series).reshape(-1, length)
+
+
 def persisted_rdds(spark) -> int:
     """Number of RDDs the Spark context holds persisted (cached)."""
     return spark.sparkContext._jsc.getPersistentRDDs().size()

@@ -4,7 +4,14 @@ import pandas as pd
 import pytest
 
 from repro.core.zorder import zkeys
-from tests.conftest import CAPACITY, LENGTH, N_SERIES, assert_leaves_tile_ranks, read_in_file_order
+from tests.conftest import (
+    CAPACITY,
+    LENGTH,
+    N_SERIES,
+    assert_leaves_tile_ranks,
+    read_in_file_order,
+    read_raw,
+)
 from tests.ground_truth import assert_equivalent, leaf_of
 
 
@@ -101,10 +108,18 @@ class TestPersistedLayout:
         assert np.array_equal(summaries.id, ids)
         assert np.array_equal(summaries.sax, sax(walk_mat, index.w, index.bits)[ids])
 
-    def test_secondary_has_raw_file(self, ctree, spark):
-        raw = spark.read.parquet(f"{ctree.path}/raw")
-        assert raw.count() == N_SERIES
-        assert set(raw.columns) == {"id", "series"}
+    def test_secondary_has_raw_file(self, ctree, walk_df):
+        """The raw file is the paper's flat binary series file: the N
+        input series, byte for byte, in the input's partition order, and
+        no Parquet file."""
+        import os
+
+        rows = [r for part in walk_df.rdd.glom().collect() for r in part]
+        ids, mat = read_raw(f"{ctree.path}/raw", LENGTH)
+        assert len(ids) == len(rows) == N_SERIES
+        assert ids.tolist() == [r["id"] for r in rows]
+        assert mat.tobytes() == np.array([r["series"] for r in rows], dtype="<f8").tobytes()
+        assert all(f.endswith((".id", ".series")) for f in os.listdir(f"{ctree.path}/raw"))
 
     def test_secondary_leaves_hold_no_series(self, ctree, spark):
         df = spark.read.parquet(f"{ctree.path}/leaves")
@@ -168,53 +183,70 @@ class TestPersistedLayout:
 
     @pytest.mark.parametrize("name", ["ctree", "ctree_full", "ctrie", "merged_index"])
     def test_series_files_in_block_row_groups(self, name, request):
-        """The files holding series, a secondary index's raw file and a
-        materialized index's leaves, are written in row groups of at most
-        B series, one modeled disk block each."""
+        """A materialized index's leaves are written in row groups of at
+        most B series, one modeled disk block each.  A secondary index's
+        raw file, merged or not, is flat: N rows of ``length`` float64
+        values and N int64 ids, and no other byte."""
+        import os
+
         from repro.core.coconut_common import read_with_row_groups
 
         index = request.getfixturevalue(name)
-        t, groups = read_with_row_groups(
-            f"{index.path}/{'leaves' if index.materialized else 'raw'}", ["id"]
-        )
-        assert groups.rows.sum() == len(t) == index.n_series
-        assert groups.rows.max() <= index.disk_config.block_series
+        if index.materialized:
+            t, groups = read_with_row_groups(f"{index.path}/leaves", ["id"])
+            assert groups.rows.sum() == len(t) == index.n_series
+            assert groups.rows.max() <= index.disk_config.block_series
+            return
+        raw = f"{index.path}/raw"
+        size = {".series": 0, ".id": 0}
+        for f in os.listdir(raw):
+            size[os.path.splitext(f)[1]] += os.path.getsize(os.path.join(raw, f))
+        assert size == {".series": index.n_series * index.length * 8, ".id": index.n_series * 8}
 
-    def test_fetch_reads_only_the_row_groups_holding_positions(self, ctree, monkeypatch):
-        """A fetch of k positions reads each row group holding one of them
-        once, and no other row group."""
+    def test_fetch_reads_only_the_row_groups_holding_positions(self, ctree, walk_mat, monkeypatch):
+        """A fetch reads exactly the B-series blocks of the raw file (its
+        row groups: B rows each) that hold the positions, one read per
+        contiguous run of them, split where the run crosses from one part
+        file into the next, and nothing else."""
         import os
 
-        import pyarrow.parquet as pq
-
-        raw = f"{ctree.path}/raw"
+        raw, B = f"{ctree.path}/raw", ctree.disk_config.block_series
         pos = [5, 6, 37, 200, N_SERIES - 1, 38]
-        want, start = [], 0
-        for f in sorted(os.path.join(raw, f) for f in os.listdir(raw) if f.endswith(".parquet")):
-            meta = pq.ParquetFile(f).metadata
-            for g in range(meta.num_row_groups):
-                rows = meta.row_group(g).num_rows
-                want += [(f, g)] if any(start <= p < start + rows for p in pos) else []
-                start += rows
-        read = []
+        stems = sorted(f[: -len(".id")] for f in os.listdir(raw) if f.endswith(".id"))
+        counts = [os.path.getsize(f"{raw}/{s}.id") // 8 for s in stems]
+        starts = np.cumsum([0, *counts])
+        blocks = np.unique(np.asarray(pos) // B)
+        want = []
+        for run in np.split(blocks, np.flatnonzero(np.diff(blocks) != 1) + 1):
+            lo, hi = run[0] * B, min((run[-1] + 1) * B, N_SERIES)
+            for s, a, b in zip(stems, starts, starts[1:]):
+                if max(lo, a) < min(hi, b):
+                    want.append((f"{raw}/{s}.series", int(max(lo, a) - a) * LENGTH * 8,
+                                 int(min(hi, b) - max(lo, a)) * LENGTH * 8))
+        opened, read = {}, []
+        real_open, real_preadv = os.open, os.preadv
 
-        class Spy(pq.ParquetFile):
-            def __init__(self, source, *args, **kwargs):
-                super().__init__(source, *args, **kwargs)
-                self.source = source
+        def spy_open(path, *args, **kwargs):
+            fd = real_open(path, *args, **kwargs)
+            opened[fd] = str(path)
+            return fd
 
-            def read_row_groups(self, row_groups, *args, **kwargs):
-                read.extend((self.source, g) for g in row_groups)
-                return super().read_row_groups(row_groups, *args, **kwargs)
+        def spy_preadv(fd, buffers, offset, *args):
+            n = real_preadv(fd, buffers, offset, *args)
+            read.append((opened[fd], offset, n))
+            return n
 
         ctree.close()  # no part file open yet
         ctree.raw_file()  # the positions are resident before the fetch
-        monkeypatch.setattr(pq, "ParquetFile", Spy)
+        monkeypatch.setattr(os, "open", spy_open)
+        monkeypatch.setattr(os, "preadv", spy_preadv)
         try:
-            assert len(ctree.fetch_raw(pos)) == len(pos)
+            got = ctree.fetch_raw(pos)
         finally:
-            ctree.close()  # drop the spied readers
-        assert sorted(read) == sorted(want) and len(want) < len(pos)
+            monkeypatch.undo()
+            ctree.close()  # drop the spied descriptors
+        assert np.array_equal(got, walk_mat[pos])
+        assert sorted(read) == sorted(want) and 0 < len(want) < len(pos)
 
     def test_materialized_series_roundtrip(self, ctree_full, walk_mat):
         lid = int(ctree_full.directory.iloc[0]["leaf_id"])
@@ -273,6 +305,29 @@ class TestEdgeInputs:
         with pytest.raises(ValueError, match="must divide"):
             build_coconut_tree(spark, walk_df, path=str(tmp_path / "w7"), w=7)
         assert not (tmp_path / "w7").exists()
+
+    def test_rebuild_leaves_no_stale_raw_parts(self, spark, walk_df, queries, tmp_path):
+        """A secondary build into the path of an earlier one replaces its
+        raw file: 400 series in 8 parts, then 200 in 4, hold 200 series,
+        and exact answers are the brute-force ones."""
+        from repro.core.coconut_tree import build_coconut_tree
+        from repro.core.query import exact_search
+        from repro.synth_data import series_collection, series_matrix
+        from tests.ground_truth import exact_nn_numpy
+
+        path = str(tmp_path / "idx")
+        kw = dict(w=8, bits=4, leaf_capacity=CAPACITY, materialized=False)
+        build_coconut_tree(spark, walk_df, path=path, **kw).close()
+        small = series_collection(spark, n_series=200, length=LENGTH, seed=3, partitions=4)
+        mat = series_matrix(n_series=200, length=LENGTH, seed=3)
+        idx = build_coconut_tree(spark, small, path=path, **kw)
+        ids, raw = read_raw(f"{path}/raw", LENGTH)
+        assert ids.tolist() == list(range(200)) and np.array_equal(raw, mat)
+        for q in queries:
+            gid, gd = exact_nn_numpy(np.arange(200), mat, q)
+            got = exact_search(idx, q)
+            assert (got.id, got.distance) == (gid, pytest.approx(gd))
+        idx.close()
 
 
 class TestLeafCapacityVariants:

@@ -144,3 +144,44 @@ def test_fewer_series_than_range_partitions(spark, tmp_path, queries, variant, m
         _, gd = exact_nn_numpy(np.arange(n), mat, q)
         assert exact_search(idx, q).distance == pytest.approx(gd)
     idx.close()
+
+
+@pytest.mark.parametrize("other", ["short", "null"])
+@pytest.mark.parametrize("variant,mode", [
+    (v, m) for v in BUILDERS for m in ("secondary", "materialized")
+])
+def test_series_of_another_length_fail_the_build(spark, tmp_path, variant, mode, other):
+    """A collection whose series are not all as long as the first one,
+    or that holds a null series, is a ``ValueError`` naming the first
+    series' length, raised before an index is returned: 200 series of
+    ``LENGTH`` followed, in later input partitions, by 200 of half that
+    length or 100 valid and 100 null ones."""
+    good = series_matrix(n_series=200, length=LENGTH, kind="walk", seed=9)
+    if other == "short":
+        rest = [np.zeros(LENGTH // 2)] * 200
+    else:
+        rest = [None, np.zeros(LENGTH)] * 100
+
+    def frame(ids, series):
+        return spark.createDataFrame(
+            pd.DataFrame({"id": ids, "series": list(series)}), "id long, series array<double>"
+        )
+
+    df = frame(np.arange(200), good).unionByName(frame(200 + np.arange(200), rest))
+    with pytest.raises(ValueError, match=f"length {LENGTH}"):
+        BUILDERS[variant](
+            spark, df, path=str(tmp_path / "idx"), w=8, bits=4, leaf_capacity=CAP,
+            materialized=mode == "materialized",
+        )
+
+
+@pytest.mark.parametrize("variant", BUILDERS)
+def test_null_first_series_fails_the_build(spark, tmp_path, variant):
+    """The length every series is checked against is the first one's:
+    a null first series is a ``ValueError`` saying so."""
+    df = spark.createDataFrame(
+        pd.DataFrame({"id": np.arange(4), "series": [None, *[np.zeros(LENGTH)] * 3]}),
+        "id long, series array<double>",
+    )
+    with pytest.raises(ValueError, match="first series is null"):
+        BUILDERS[variant](spark, df, path=str(tmp_path / "idx"), w=8, bits=4)

@@ -11,7 +11,7 @@ from repro.core.coconut_tree import build_coconut_tree, merge_batch
 from repro.core.query import exact_search
 from repro.storage.disk_model import DiskConfig
 from repro.synth_data import query_workload, series_collection, series_matrix
-from tests.conftest import jobs_under_group, read_in_file_order
+from tests.conftest import jobs_under_group, read_in_file_order, read_raw
 from tests.ground_truth import exact_nn_numpy
 
 LENGTH, KW = 64, dict(w=8, bits=4, leaf_capacity=20)
@@ -123,7 +123,7 @@ class TestMergeEqualsRebuild:
             batch_ids = np.arange(40)
             batch_mat = series_matrix(n_series=40, length=LENGTH, seed=41, id_offset=n_old)
         batch_df = _frame(spark, batch_ids, batch_mat)
-        old_raw = None if materialized else read_in_file_order(f"{old.path}/raw", ["id"])
+        old_raw = None if materialized else read_raw(f"{old.path}/raw", LENGTH)
 
         merged = merge_batch(old, batch_df, path=str(tmp_path / "merged"))
         rebuilt = build_coconut_tree(
@@ -138,8 +138,9 @@ class TestMergeEqualsRebuild:
         if materialized:
             assert np.array_equal(np.stack(got["series"]), np.stack(want["series"]))
         else:
-            raw = read_in_file_order(f"{merged.path}/raw", ["id"])
-            assert raw["id"].tolist() == old_raw["id"].tolist() + batch_ids.tolist()
+            raw_ids, raw_series = read_raw(f"{merged.path}/raw", LENGTH)
+            assert raw_ids.tolist() == old_raw[0].tolist() + batch_ids.tolist()
+            assert np.array_equal(raw_series, np.vstack([old_raw[1], batch_mat]))
         assert merged.n_series == rebuilt.n_series == n_old + len(batch_ids)
         pd.testing.assert_frame_equal(merged.directory, rebuilt.directory)
         merged.load_summaries()  # the file holds ranks 0..N-1 in file order

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.sax import sax
 from repro.core.zorder import deinterleave, first64, interleave, zkeys
+from tests.conftest import LENGTH
 from tests.ground_truth import prefix_key, reduce_word
 
 
@@ -183,7 +184,8 @@ class TestZkeysSpark:
     def _summaries(self, walk_df):
         from repro.core.coconut_tree import summarize_series
 
-        return summarize_series(walk_df, 8, 4, keep_series=False).toPandas().sort_values("id")
+        summaries, _ = summarize_series(walk_df, 8, 4, LENGTH, raw=None)
+        return summaries.toPandas().sort_values("id")
 
     def test_matches_numpy(self, spark, walk_df, walk_mat):
         got = self._summaries(walk_df)
