@@ -10,11 +10,11 @@ comparison (paper §4.2 vs §4.3) clean:
   fixed-width ``binary`` value; the SAX word is decoded from it), plus
   the series when materialized.  A record's *rank* is not stored: it is
   its row position in the part files taken in name order, which hold
-  the records in z-key order.  A leaf is a contiguous run of ranks,
-  named by its first rank (``leaf_id``); leaf boundaries live only in
-  the directory, not in the records.  Materialized leaves are written
-  in row groups of at most B series (``DiskConfig.block_series``), one
-  modeled disk block each.
+  the records in z-key order, equal keys in input order.  A leaf is a
+  contiguous run of ranks, named by its first rank (``leaf_id``); leaf
+  boundaries live only in the directory, not in the records.
+  Materialized leaves are written in row groups of at most B series
+  (``DiskConfig.block_series``), one modeled disk block each.
 - ``<path>/raw``     — the paper's raw data file, a flat binary array
   of series; only written for non-materialized (secondary) indexes,
   whose leaves hold ids ("offsets") instead of series.  It has one part
@@ -436,20 +436,6 @@ def write_index_files(
 MERGE_CHUNK_ROWS = 256
 
 
-def _order_keys(zkey: pa.ChunkedArray | pa.Array, ids: pa.ChunkedArray | pa.Array) -> np.ndarray:
-    """Each record's sort key ``(zkey, id)`` as one fixed-width bytes
-    value: the z-key, then the id big-endian with its sign bit flipped.
-    Byte order of these values is the order of Spark's sort by
-    (``zkey``, ``id``), so numpy can sort and search them."""
-    if not len(ids):
-        return np.array([], dtype="S1")
-    z = np.frombuffer(b"".join(zkey.to_pylist()), np.uint8).reshape(len(ids), -1)
-    flipped = np.asarray(ids, dtype=np.int64).view(np.uint64) ^ np.uint64(1 << 63)
-    i = flipped.astype(">u8").view(np.uint8).reshape(-1, 8)
-    both = np.ascontiguousarray(np.hstack([z, i]))
-    return both.view(f"S{both.shape[1]}").ravel()
-
-
 def _link_or_copy(src: str, dst: str) -> None:
     """Share a file the new index reuses unchanged; copy it where the
     filesystem cannot hard-link."""
@@ -468,15 +454,17 @@ def merge_index_files(
     also as the matrix ``series``) to ``path``: the streaming merge of
     two sorted runs.
 
-    The batch is sorted in memory by (``zkey``, ``id``).  The old leaf
+    The batch is sorted stably in memory by ``zkey`` (numpy orders the
+    fixed-width keys as Spark does: as unsigned bytes).  The old leaf
     file is streamed part file by part file, in name order (empty part
-    files are skipped), ``MERGE_CHUNK_ROWS`` records at a time.  Each
-    part becomes one output part file, ``part-NNNNN.parquet``, holding
-    its records and the batch records that sort after the previous
-    part's last record and up to its own last one; the last part also
-    takes every batch record after it.  So the output's part files, in
-    name order, again hold ranks 0..N-1.  Materialized leaves are
-    written in row groups of at most ``block_series`` series.
+    files are skipped), ``MERGE_CHUNK_ROWS`` records at a time; each
+    chunk takes the batch records whose key is below its last key, a
+    stable merge putting old records before batch records of equal key,
+    and the last part takes the rest.  Each part becomes one output part
+    file, ``part-NNNNN.parquet``, so the output's part files, in name
+    order, hold ranks 0..N-1 in the order of a rebuild over old + batch:
+    by key, equal keys in input order.  Materialized leaves are written
+    in row groups of at most ``block_series`` series.
     Secondary indexes get a ``raw`` directory of the old raw parts,
     shared or copied, followed by one part of the batch's series in
     arrival order.  Nothing is read through Spark, and nothing is
@@ -488,8 +476,8 @@ def merge_index_files(
             if pf.metadata.num_rows:
                 parts.append(f)
     schema = pq.read_schema(parts[0])
-    new_keys = _order_keys(batch.column("zkey"), batch.column("id"))
-    order = np.argsort(new_keys)
+    new_keys = np.array(batch.column("zkey").to_pylist(), dtype="S")
+    order = np.argsort(new_keys, kind="stable")
     new, new_keys = batch.select(schema.names).cast(schema).take(order), new_keys[order]
     os.makedirs(f"{path}/leaves")
     group_rows = block_series if materialized else None  # None: one group per write
@@ -500,8 +488,8 @@ def merge_index_files(
         ) as out:
             for rb in pf.iter_batches(batch_size=MERGE_CHUNK_ROWS, use_threads=False):
                 run = pa.Table.from_batches([rb])
-                keys = _order_keys(run.column("zkey"), run.column("id"))
-                upto = int(np.searchsorted(new_keys, keys[-1], side="right"))
+                keys = np.array(run.column("zkey").to_pylist(), dtype="S")
+                upto = int(np.searchsorted(new_keys, keys[-1], side="left"))
                 if upto > taken:
                     at = np.argsort(np.concatenate([keys, new_keys[taken:upto]]), kind="stable")
                     run = pa.concat_tables([run, new.slice(taken, upto - taken)]).take(at)

@@ -6,9 +6,9 @@ Pipeline (the paper's lines map directly onto Spark stages):
    the ``mapInArrow`` summarization pass.  For a secondary index the
    same scan writes the raw file, the paper's flat binary series file,
    in the input's order, so a series' position is its row there.
-2. lines 9–12  — external sort by invSAX: ``repartitionByRange`` +
-   ``sortWithinPartitions`` (``repro.core.sort_rank``), run as the
-   leaves are written.
+2. lines 9–12  — external sort by (invSAX, input position):
+   ``repartitionByRange`` + ``sortWithinPartitions``
+   (``repro.core.sort_rank``), run as the leaves are written.
 3. line 13     — UB-tree-style bulk load on the sorted stream: the
    sorted records (``id, zkey[, series]``) are written as one Parquet
    file, in which a record's rank is its position, and the directory
@@ -57,7 +57,7 @@ from repro.storage.disk_model import CPU_SORT_ITEM_S, DiskConfig, DiskModel, ext
 def summarize_series(
     series_df: DataFrame, w: int, bits: int, length: int, *, raw: str | None
 ) -> tuple[DataFrame, Callable[[], None]]:
-    """(id, series) -> (id, zkey[, series]): Algorithm 3 lines 2–8.
+    """(id, series) -> (id, zkey, seq[, series]): Algorithm 3 lines 2–8.
 
     The one summarization pass of both Coconut variants: a single scan of
     the raw data computing each series' invSAX key, a fixed-width
@@ -70,18 +70,19 @@ def summarize_series(
     The input is coalesced to one partition per core
     (:func:`wave_partitions`), so the Python tasks, each with a fixed
     start-up cost far above its summarizing work at these sizes, run as
-    a single wave.  A task gets whole input partitions, but one Arrow
-    batch may hold two, so rows are first numbered by
-    ``monotonically_increasing_id``: consecutive within a partition,
-    rising across partitions.  Each run of consecutive numbers is one
-    raw part.  (``spark_partition_id`` would not do: over a frame made
-    from driver-side data, Spark evaluates it on the driver, as 0.)
+    a single wave.  Rows are first numbered, as ``seq`` (the sort's
+    offset), by ``monotonically_increasing_id``: consecutive within a
+    partition, rising across partitions.  A task gets whole input
+    partitions, but one Arrow batch may hold two, so each run of
+    consecutive numbers is one raw part.  (``spark_partition_id`` would
+    not do: over a frame made from driver-side data, Spark evaluates it
+    on the driver, as 0.)
 
     A series that is null or not ``length`` long is counted and
     dropped.  Returns the summaries and a check to call once they have
     been computed: it raises ``ValueError`` if any series was dropped.
     """
-    schema = "id long, zkey binary"
+    schema = "id long, zkey binary, seq long"
     if raw is None:
         schema += ", series array<double>"
     else:
@@ -99,7 +100,8 @@ def summarize_series(
                 if len(rb) == 0:
                     continue
                 mat = as_matrix(rb.column("series"), length)
-                cols = {"id": rb.column("id"), "zkey": pa.array(zkeys(mat, w, bits), pa.binary())}
+                zkey = pa.array(zkeys(mat, w, bits), pa.binary())
+                cols = {"id": rb.column("id"), "zkey": zkey, "seq": rb.column("seq")}
                 if out is None:
                     cols["series"] = rb.column("series")
                 else:
@@ -116,11 +118,8 @@ def summarize_series(
                 "the first series' length"
             )
 
-    cols = ["id", "series"]
-    if raw is not None:
-        cols.append(F.monotonically_increasing_id().alias("seq"))
     summaries = (
-        series_df.select(*cols)
+        series_df.select("id", "series", F.monotonically_increasing_id().alias("seq"))
         .coalesce(wave_partitions(series_df))
         .mapInArrow(compute, schema=schema)
     )
@@ -129,13 +128,13 @@ def summarize_series(
 
 def _series_length(series_df: DataFrame, w: int) -> int:
     """Length of the first series.  An index over no series, one whose
-    first series is null, or one whose ``w`` segments do not divide the
-    length, is an error on the driver."""
+    first series is null or empty, or one whose ``w`` segments do not
+    divide the length, is an error on the driver."""
     first = series_df.select(F.size("series").alias("n")).first()
     if first is None:
         raise ValueError("cannot build an index over an empty series DataFrame")
-    if first["n"] is None or first["n"] < 0:  # size(null): null, or -1 in legacy mode
-        raise ValueError("the first series is null, so the series length is unknown")
+    if first["n"] is None or first["n"] <= 0:  # size(null): null, or -1 in legacy mode
+        raise ValueError("the first series is null or empty, so it gives no series length")
     n = int(first["n"])
     if n % w:
         raise ValueError(f"segment count w={w} must divide series length n={n}")
@@ -226,12 +225,12 @@ def merge_batch(index: CoconutIndex, batch_df: DataFrame, *, path: str) -> Cocon
     The batch is collected to the driver, the paper's in-memory batch
     buffer, in the merge's one Spark job, and keyed there by
     :func:`zkeys`, the key function :func:`summarize_series` applies.
-    :func:`merge_index_files` sorts it by (``zkey``, ``id``), streams
-    the old sorted run from the leaf file and merges the two, so the
-    merged file holds the records a rebuild over old plus batch would,
-    in the same order.  A batch with a series that is null or not
-    ``index.length`` long is a ``ValueError``, raised before anything is
-    written.
+    :func:`merge_index_files` sorts it by ``zkey``, streams the old
+    sorted run from the leaf file and merges the two, so the merged file
+    holds the records a rebuild over old plus batch would, in the same
+    order.  A batch with a series that is null
+    or not ``index.length`` long is a ``ValueError``, raised before
+    anything is written.
 
     The sim cost charged is that streaming merge: summarize the batch,
     sort it, then stream old index + new run in and the merged run out.

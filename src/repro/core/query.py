@@ -127,7 +127,7 @@ def approximate_search(
         # specific radius from this point ... usually a disk page" — a
         # page of raw records around the query's sorted position per
         # radius step, not every offset in the (densely packed) leaves.
-        # The leaves come in rank order: z-key order, ties broken by id.
+        # The leaves come in rank order: z-key order, ties in input order.
         pos = int(leaf_pdf["zkey"].searchsorted(qz))
         half = max(1, index.disk_config.block_series * radius // 2)
         lo = max(0, min(pos - half, len(leaf_pdf) - 2 * half))

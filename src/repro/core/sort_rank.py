@@ -11,8 +11,8 @@ The input is persisted first, so the range sampler's scan fills the
 cache and the shuffle reads it back: the input's producer (the
 summarizer) runs once.  No rank column is computed: written without
 ``partitionBy``, the sorted frame's part files, in name order, hold the
-records in (key, id) order, and a record's rank is its row position in
-them.
+records in (key, ``seq``) order, the paper's (invSAX, offset), and a
+record's rank is its row position in them.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ def wave_partitions(df: DataFrame) -> int:
 
 
 def global_sort_with_rank(df: DataFrame, key: str) -> tuple[DataFrame, Callable[[], object]]:
-    """Sort ``df`` globally by (``key``, ``id``).
+    """Sort ``df`` globally by (``key``, ``seq``), its input position.
 
     Returns the sorted frame, with ``df``'s columns, and the function
     that releases ``df``, which stays persisted for the call's consumer:
@@ -40,5 +40,5 @@ def global_sort_with_rank(df: DataFrame, key: str) -> tuple[DataFrame, Callable[
     (at least two).
     """
     source = df.persist()
-    ordered = source.repartitionByRange(wave_partitions(df), key, "id").sortWithinPartitions(key, "id")
+    ordered = source.repartitionByRange(wave_partitions(df), key, "seq").sortWithinPartitions(key, "seq")
     return ordered, source.unpersist

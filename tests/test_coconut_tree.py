@@ -139,8 +139,9 @@ class TestPersistedLayout:
     @pytest.mark.parametrize("name", ["ctree", "ctrie", "ctree_full"])
     def test_leaf_level_is_one_rank_ordered_file(self, name, request):
         """No per-leaf subdirectories: the part files, in name order, hold
-        every record in (zkey, id) order, so a record's position is its
-        rank."""
+        every record in (zkey, input position) order, which is (zkey, id)
+        order here, as the ids ascend in input order; so a record's
+        position is its rank."""
         import os
 
         index = request.getfixturevalue(name)
@@ -173,6 +174,22 @@ class TestPersistedLayout:
         swapped = dataclasses.replace(ctree, path=str(tmp_path), summaries=None)
         with pytest.raises(ValueError, match="ranks"):
             swapped.load_summaries()
+
+    def test_raw_file_rejects_a_short_series_part(self, ctree, tmp_path):
+        """A raw part whose series file is one series short of its ids:
+        loading the raw file fails loudly, before any position is read."""
+        import dataclasses
+        import os
+        import shutil
+
+        from repro.core.coconut_common import RAW_SERIES, raw_parts
+
+        shutil.copytree(f"{ctree.path}/raw", tmp_path / "raw")
+        series = raw_parts(str(tmp_path / "raw"))[0] + RAW_SERIES
+        os.truncate(series, os.path.getsize(series) - ctree.length * 8)
+        short = dataclasses.replace(ctree, path=str(tmp_path), summaries=None, raw=None)
+        with pytest.raises(ValueError, match="does not hold"):
+            short.raw_file()
 
     def test_fetch_raw_by_id(self, ctree, walk_mat):
         """Series are fetched by the raw-file positions of their ids, as

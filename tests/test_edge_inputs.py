@@ -185,3 +185,20 @@ def test_null_first_series_fails_the_build(spark, tmp_path, variant):
     )
     with pytest.raises(ValueError, match="first series is null"):
         BUILDERS[variant](spark, df, path=str(tmp_path / "idx"), w=8, bits=4)
+
+
+@pytest.mark.parametrize("variant,mode", [
+    (v, m) for v in BUILDERS for m in ("secondary", "materialized")
+])
+def test_empty_first_series_fails_the_build(spark, tmp_path, variant, mode):
+    """A first series of length 0, which every ``w`` divides, is a
+    ``ValueError`` on the driver, not a worker failure."""
+    df = spark.createDataFrame(
+        pd.DataFrame({"id": np.arange(4), "series": [np.zeros(0), *[np.zeros(LENGTH)] * 3]}),
+        "id long, series array<double>",
+    )
+    with pytest.raises(ValueError, match="empty"):
+        BUILDERS[variant](
+            spark, df, path=str(tmp_path / "idx"), w=8, bits=4,
+            materialized=mode == "materialized",
+        )

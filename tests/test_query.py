@@ -174,9 +174,9 @@ class TestSimsCharge:
     def test_secondary_refine_is_charged_at_raw_positions(self, spark, tmp_path):
         """Hand-worked: eight constant series of length 4 (w=2, bits=2,
         so SAX breakpoints -0.674, 0, 0.674), B=2, leaves of 4.  Row i of
-        the raw file is id i, of value V[i].  By z-key (= symbol, ties by
-        id) the ranks hold ids 1, 3 | 5 | 0, 6 | 2, 4, 7, so the ranks and
-        the raw positions differ.
+        the raw file is id i, of value V[i].  By z-key (= symbol, ties in
+        input order, so by id) the ranks hold ids 1, 3 | 5 | 0, 6 | 2, 4, 7,
+        so the ranks and the raw positions differ.
 
         Query 0.1 (symbol 2): its leaf is ranks 4-7 and the approximate
         search reads the 2 records at its key, ids 6 and 2, so bsf = 1.0

@@ -1,5 +1,6 @@
 """Unit tests for the distributed global sort; a rank is a position in
-the written file."""
+the written file.  Frames carry ``seq``, each row's input position, which
+the sort orders equal keys by."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -11,10 +12,13 @@ from tests.ground_truth import assert_equivalent
 
 
 def _df(spark, n=200, seed=0):
+    """``n`` rows over 64 distinct keys, so most keys repeat; ``seq``
+    is a permutation, so input order is not id order."""
     g = np.random.default_rng(seed)
     pdf = pd.DataFrame({
         "id": np.arange(n),
-        "key": [f"{v:08x}" for v in g.integers(0, 2**32, n)],
+        "key": [f"{v:08x}" for v in g.integers(0, 64, n)],
+        "seq": g.permutation(n),
     })
     return spark.createDataFrame(pdf), pdf
 
@@ -46,14 +50,15 @@ class TestGlobalSortWithRank:
         got = _written(*global_sort_with_rank(df, "key"), tmp_path / "out")
         assert_equivalent(
             spark.createDataFrame(got[["id", "key", "rank"]]),
-            "SELECT id, key, row_number() OVER (ORDER BY key, id) - 1 AS rank FROM t",
+            "SELECT id, key, row_number() OVER (ORDER BY key, seq) - 1 AS rank FROM t",
             t=pdf,
         )
 
-    def test_duplicate_keys_tiebroken_by_id(self, spark, tmp_path):
-        pdf = pd.DataFrame({"id": [3, 1, 2, 0], "key": ["a", "a", "a", "a"]})
+    def test_duplicate_keys_in_input_order(self, spark, tmp_path):
+        """Equal keys are ordered by ``seq``, the paper's offset, not by id."""
+        pdf = pd.DataFrame({"id": [3, 1, 2, 0], "key": ["a"] * 4, "seq": [2, 0, 3, 1]})
         out, release = global_sort_with_rank(spark.createDataFrame(pdf), "key")
-        assert list(_written(out, release, tmp_path / "out")["id"]) == [0, 1, 2, 3]
+        assert list(_written(out, release, tmp_path / "out")["id"]) == [1, 0, 3, 2]
 
     def test_input_evaluated_once(self, spark, tmp_path):
         """The input is persisted before the range sampler scans it, so
@@ -84,12 +89,12 @@ class TestGlobalSortWithRank:
     def test_schema_keeps_all_columns(self, spark):
         df, _ = _df(spark)
         out, release = global_sort_with_rank(df, "key")
-        assert set(out.columns) == {"id", "key"}
+        assert set(out.columns) == {"id", "key", "seq"}
         release()
 
     def test_small_input_fewer_rows_than_partitions(self, spark, tmp_path):
         """Two rows over one range partition per core (at least two)."""
-        pdf = pd.DataFrame({"id": [0, 1], "key": ["b", "a"]})
+        pdf = pd.DataFrame({"id": [0, 1], "key": ["b", "a"], "seq": [0, 1]})
         out, release = global_sort_with_rank(spark.createDataFrame(pdf), "key")
         assert list(_written(out, release, tmp_path / "out")["id"]) == [1, 0]
 
@@ -167,8 +172,12 @@ class TestBinaryKeys:
     def _sorted(self, spark):
         keys = [bytes([a, b]) for a in self.FIRST_BYTES for b in (0x00, 0x7F, 0x80, 0xFF)]
         order = np.random.default_rng(5).permutation(len(keys))
-        pdf = pd.DataFrame({"id": np.arange(len(keys)), "zkey": [keys[i] for i in order]})
-        return global_sort_with_rank(spark.createDataFrame(pdf, "id long, zkey binary"), "zkey")
+        pdf = pd.DataFrame({
+            "id": np.arange(len(keys)), "zkey": [keys[i] for i in order], "seq": np.arange(len(keys)),
+        })
+        return global_sort_with_rank(
+            spark.createDataFrame(pdf, "id long, zkey binary, seq long"), "zkey"
+        )
 
     def test_rank_order_is_unsigned_byte_order(self, spark, tmp_path):
         pdf = _written(*self._sorted(spark), tmp_path / "leaves")

@@ -104,9 +104,10 @@ class TestMergeEqualsRebuild:
         if case == "boundary_copies":
             # Copies, under new ids, of the first and last series of each
             # old part file and of each chunk the merge streams: equal
-            # z-keys on both sides of every part and chunk boundary,
-            # ordered by id.  A first series' copy has a lower id than
-            # it, a last series' copy a higher one.
+            # z-keys on both sides of every part and chunk boundary.  A
+            # first series' copy has a lower id than it, a last series'
+            # copy a higher one; each copy, a batch record, follows its
+            # original all the same.
             firsts, lasts = [], []
             for f in sorted(x for x in os.listdir(leaves) if x.endswith(".parquet")):
                 part_ids = pq.read_table(os.path.join(leaves, f), columns=["id"]).column(0).to_numpy()
@@ -144,6 +145,42 @@ class TestMergeEqualsRebuild:
         assert merged.n_series == rebuilt.n_series == n_old + len(batch_ids)
         pd.testing.assert_frame_equal(merged.directory, rebuilt.directory)
         merged.load_summaries()  # the file holds ranks 0..N-1 in file order
+        merged.close()
+        rebuilt.close()
+
+
+class TestTiesInInputOrder:
+    @pytest.mark.parametrize("materialized", [False, True], ids=["secondary", "materialized"])
+    def test_copies_in_input_order_old_before_batch(self, spark, tmp_path, monkeypatch, materialized):
+        """Copies of one series, after 60 walks, whose ids descend in input
+        order, across leaf and merge-chunk boundaries; then a batch of more
+        copies with lower ids.  Equal keys are ordered by input position,
+        the paper's offset, not by id: the leaf file lists the copies in
+        input order, old before batch, as a rebuild over both does."""
+        monkeypatch.setattr(coconut_common, "MERGE_CHUNK_ROWS", CHUNK)
+        walks = series_matrix(n_series=61, length=LENGTH, seed=71)
+        n_old, n_batch = 3 * KW["leaf_capacity"] + 5, 25
+        old_copies = OLD_ID0 + 100 + n_old - np.arange(n_old)   # descending
+        batch_copies = n_batch - np.arange(n_batch)              # below every old id
+        old_df = _frame(
+            spark, np.concatenate([OLD_ID0 + np.arange(60), old_copies]),
+            np.vstack([walks[:60], np.tile(walks[60], (n_old, 1))]),
+        )
+        batch_df = _frame(spark, batch_copies, np.tile(walks[60], (n_batch, 1)))
+        old = build_coconut_tree(
+            spark, old_df, path=str(tmp_path / "old"), materialized=materialized, **KW
+        )
+        merged = merge_batch(old, batch_df, path=str(tmp_path / "merged"))
+        rebuilt = build_coconut_tree(
+            spark, old_df.unionByName(batch_df), path=str(tmp_path / "rebuilt"),
+            materialized=materialized, **KW,
+        )
+        got = read_in_file_order(f"{merged.path}/leaves", ["id", "zkey"])
+        want = read_in_file_order(f"{rebuilt.path}/leaves", ["id", "zkey"])
+        copies = [*old_copies, *batch_copies]
+        assert got.loc[got["id"].isin(copies), "id"].tolist() == copies
+        assert got["id"].tolist() == want["id"].tolist()
+        assert got["zkey"].tolist() == want["zkey"].tolist()
         merged.close()
         rebuilt.close()
 
