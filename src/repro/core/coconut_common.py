@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import os
 import shutil
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -214,20 +215,32 @@ class RawWriter:
                 f.close()
 
 
+def check_unique_ids(ids: np.ndarray, what: str) -> None:
+    """A ``ValueError`` naming ``what`` if an id occurs more than once in
+    ``ids``: a secondary index finds a series by its id."""
+    s = np.sort(ids)
+    repeated = np.unique(s[1:][s[1:] == s[:-1]])
+    if len(repeated):
+        raise ValueError(
+            f"{what} holds {len(repeated)} ids more than once (first: "
+            f"{repeated[:5].tolist()}); a secondary index needs unique ids"
+        )
+
+
 @dataclass
 class RawFile:
     """A secondary index's raw file: its parts' series files, the first
     position of each part (then N), and the position of every id, which
     stands in for the file offset the paper stores in each leaf entry.
     A merged index's raw file ends with the batch, so an id is not its
-    position.
+    position.  Each id is in it once.
 
     A part file is opened on its first read and stays open until
     :meth:`close`.  It is read with ``pread`` into numpy buffers, not
     mapped: the pages a map touches would stay in the driver's memory."""
 
     files: list[str]
-    first: np.ndarray     # ascending; N last
+    starts: list[int]     # ascending; N last
     length: int
     id: np.ndarray        # the id at each position
     by_id: np.ndarray     # positions in ascending id order
@@ -236,15 +249,16 @@ class RawFile:
     @classmethod
     def load(cls, directory: str, length: int) -> RawFile:
         """One read of each part's ids; the series files are checked to
-        hold ``length``-wide rows for them."""
+        hold ``length``-wide rows for them, and the ids to be unique."""
         parts = raw_parts(directory)
         ids = [np.fromfile(p + RAW_IDS, dtype="<i8") for p in parts]
         for p, i in zip(parts, ids):
             if os.path.getsize(p + RAW_SERIES) != len(i) * length * 8:
                 raise ValueError(f"{p}{RAW_SERIES} does not hold {len(i)} series of length {length}")
-        first = np.cumsum([0, *map(len, ids)])
+        starts = np.cumsum([0, *map(len, ids)]).tolist()
         ids = np.concatenate(ids) if ids else np.empty(0, dtype=np.int64)
-        return cls([p + RAW_SERIES for p in parts], first, length, ids, np.argsort(ids, kind="stable"))
+        check_unique_ids(ids, directory)
+        return cls([p + RAW_SERIES for p in parts], starts, length, ids, np.argsort(ids, kind="stable"))
 
     def positions(self, ids: np.ndarray) -> np.ndarray:
         """The raw-file position of each of ``ids``; an id not in the
@@ -261,36 +275,36 @@ class RawFile:
         length)`` array.  The file is read in blocks of ``block_series``
         series (block ``b`` holds positions ``b·B`` to ``b·B + B - 1``):
         each contiguous run of blocks holding a position is read with one
-        ``pread`` per part file it spans, into one buffer, and the rows
+        ``preadv`` per part file it spans, into one buffer, and the rows
         asked for are picked from it."""
         pos = np.asarray(positions, dtype=np.int64)
-        n = int(self.first[-1])
-        if len(pos) and (pos.min() < 0 or pos.max() >= n):
+        n = self.starts[-1]
+        if not len(pos):
+            return np.empty((0, self.length), dtype="<f8")
+        if pos.min() < 0 or pos.max() >= n:
             raise IndexError(f"positions outside 0..{n - 1}")
-        block = pos // block_series
-        blocks = np.unique(block)
+        blocks, slot = np.unique(pos // block_series, return_inverse=True)
         buf = np.empty((len(blocks) * block_series, self.length), dtype="<f8")  # block i at row i·B
-        for run in np.split(np.arange(len(blocks)), np.flatnonzero(np.diff(blocks) != 1) + 1):
-            if len(run):
-                lo = int(blocks[run[0]]) * block_series
-                hi = min(int(blocks[run[-1]] + 1) * block_series, n)
-                at = int(run[0]) * block_series
-                self._read(lo, hi, buf[at : at + hi - lo])
-        return buf[np.searchsorted(blocks, block) * block_series + pos % block_series]
+        first = np.flatnonzero(np.diff(blocks, prepend=-2) != 1)  # each run's first block
+        last = np.append(first[1:], len(blocks)) - 1
+        lo = (blocks[first] * block_series).tolist()
+        hi = np.minimum((blocks[last] + 1) * block_series, n).tolist()
+        for at, a, b in zip((first * block_series).tolist(), lo, hi):
+            self._read(a, b, buf[at : at + b - a])
+        return buf[slot * block_series + pos % block_series]
 
     def _read(self, lo: int, hi: int, out: np.ndarray) -> None:
         """The series at positions ``lo..hi-1`` into ``out``: one
-        ``pread`` per part file they span."""
+        ``preadv`` per part file they span."""
         row_bytes = self.length * 8
-        for j in range(int(np.searchsorted(self.first, lo, side="right")) - 1,
-                       int(np.searchsorted(self.first, hi, side="left"))):
-            a, b = max(lo, int(self.first[j])), min(hi, int(self.first[j + 1]))
+        for j in range(bisect_right(self.starts, lo) - 1, bisect_left(self.starts, hi)):
+            a, b = max(lo, self.starts[j]), min(hi, self.starts[j + 1])
             if a >= b:
                 continue  # an empty part
             if j not in self.fds:
                 self.fds[j] = os.open(self.files[j], os.O_RDONLY)
             into = out[a - lo : b - lo]
-            if os.preadv(self.fds[j], [into], (a - int(self.first[j])) * row_bytes) != into.nbytes:
+            if os.preadv(self.fds[j], [into], (a - self.starts[j]) * row_bytes) != into.nbytes:
                 raise EOFError(f"{self.files[j]} is shorter than its ids")
 
     def close(self) -> None:
@@ -327,21 +341,21 @@ class CoconutIndex(LeafStats):
     # -- leaf access -------------------------------------------------------
     def read_leaves(
         self, leaf_ids: list[int], columns: list[str] | None = None
-    ) -> pd.DataFrame:
+    ) -> pa.Table:
         """Records of the given leaves in rank order: only the row groups
         that hold their ranks are read (``columns``: default all)."""
-        if not len(leaf_ids):
-            return pd.DataFrame(columns=columns or SUMMARY_COLS)
         lo = np.unique(np.asarray(leaf_ids, dtype=np.int64))
         starts = self.directory["leaf_id"].to_numpy()
         count = self.directory["count"].to_numpy()[np.searchsorted(starts, lo)]
-        ranks = np.concatenate([np.arange(a, a + c) for a, c in zip(lo, count)])
-        return self.row_groups.take(ranks, columns).to_pandas(use_threads=False)
+        before = np.cumsum(count) - count  # the leaves' offsets in the read
+        ranks = np.arange(count.sum()) + np.repeat(lo - before, count)
+        return self.row_groups.take(ranks, columns)
 
     def raw_file(self) -> RawFile:
-        """The raw file's parts and id positions, read on first use and
-        resident afterwards.  Like the offsets in the paper's leaf
-        entries, reading them is not charged."""
+        """The raw file's parts and id positions, read by the build (or
+        on first use after :meth:`close`) and resident afterwards.  Like
+        the offsets in the paper's leaf entries, reading them is not
+        charged."""
         if self.raw is None:
             self.raw = RawFile.load(f"{self.path}/raw", self.length)
         return self.raw

@@ -43,8 +43,10 @@ from pyspark.sql import functions as F
 
 from repro.core.coconut_common import (
     CoconutIndex,
+    RawFile,
     RawWriter,
     as_matrix,
+    check_unique_ids,
     directory_from_summaries,
     merge_index_files,
     write_index_files,
@@ -178,7 +180,9 @@ def build_coconut_tree(
     materialized: bool = False,
     disk_config: DiskConfig | None = None,
 ) -> CoconutIndex:
-    """Bulk-load a Coconut-Tree index over ``series_df`` (id, series)."""
+    """Bulk-load a Coconut-Tree index over ``series_df`` (id, series).  A
+    secondary index finds series by id, so a repeated id is a
+    ``ValueError``; a materialized one finds them by rank."""
     cfg = disk_config or DiskConfig()
     disk = DiskModel(config=cfg)
     t0 = time.perf_counter()
@@ -195,6 +199,8 @@ def build_coconut_tree(
     finally:
         release()
     check_lengths()
+    # Loading a secondary index's raw-file ids checks that they are unique.
+    raw = None if materialized else RawFile.load(f"{path}/raw", length)
     directory, row_groups = directory_from_summaries(
         f"{path}/leaves", _median_leaf_starts(leaf_capacity)
     )
@@ -214,6 +220,7 @@ def build_coconut_tree(
         build_disk=disk,
         disk_config=cfg,
         build_wall_s=time.perf_counter() - t0,
+        raw=raw,
     )
 
 
@@ -230,7 +237,8 @@ def merge_batch(index: CoconutIndex, batch_df: DataFrame, *, path: str) -> Cocon
     holds the records a rebuild over old plus batch would, in the same
     order.  A batch with a series that is null
     or not ``index.length`` long is a ``ValueError``, raised before
-    anything is written.
+    anything is written; so is, for a secondary index, a batch id that
+    repeats or that the index already holds.
 
     The sim cost charged is that streaming merge: summarize the batch,
     sort it, then stream old index + new run in and the merged run out.
@@ -246,6 +254,11 @@ def merge_batch(index: CoconutIndex, batch_df: DataFrame, *, path: str) -> Cocon
         raise ValueError(
             f"{bad.sum()} batch series are not of length {index.length}, the index's "
             f"(batch lengths {lengths.min()}..{lengths.max()}, -1 for a null series)"
+        )
+    if not index.materialized:
+        check_unique_ids(
+            np.concatenate([index.raw_file().id, batch.column("id").to_numpy()]),
+            "the index merged with the batch",
         )
     mat = as_matrix(series, index.length)
     batch = batch.append_column("zkey", pa.array(zkeys(mat, index.w, index.bits), pa.binary()))

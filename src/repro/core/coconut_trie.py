@@ -25,6 +25,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.coconut_common import (
     CoconutIndex,
+    RawFile,
     directory_from_summaries,
     write_index_files,
 )
@@ -108,7 +109,9 @@ def build_coconut_trie(
     materialized: bool = False,
     disk_config: DiskConfig | None = None,
 ) -> CoconutIndex:
-    """Bulk-load a Coconut-Trie index over ``series_df`` (id, series)."""
+    """Bulk-load a Coconut-Trie index over ``series_df`` (id, series).  A
+    secondary index finds series by id, so a repeated id is a
+    ``ValueError``; a materialized one finds them by rank."""
     cfg = disk_config or DiskConfig()
     disk = DiskModel(config=cfg)
     t0 = time.perf_counter()
@@ -127,6 +130,8 @@ def build_coconut_trie(
     finally:
         release()
     check_lengths()
+    # Loading a secondary index's raw-file ids checks that they are unique.
+    raw = None if materialized else RawFile.load(f"{path}/raw", length)
     directory, row_groups = directory_from_summaries(
         f"{path}/leaves",
         lambda zkey: prefix_leaf_starts(
@@ -150,4 +155,5 @@ def build_coconut_trie(
         build_disk=disk,
         disk_config=cfg,
         build_wall_s=time.perf_counter() - t0,
+        raw=raw,
     )

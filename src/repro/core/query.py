@@ -8,9 +8,11 @@ level is a sorted file; return the best true Euclidean distance found.
 
 ``exact_search`` is Algorithm 5 (CoconutTreeSIMS): seed a best-so-far
 from the approximate answer, compute the MINDIST lower bound for every
-in-memory summarization (one vectorized ``mindist_paa_sax`` call over
-the driver-resident SAX matrix — the paper's "multiple threads
-computing bounds in parallel"), then perform the skip-sequential visit
+in-memory summarization (``mindist_paa_sax`` builds one per-query
+table of squared segment gaps, one row per segment and one column per
+symbol, and gathers it at the driver-resident SAX matrix: the paper's
+"multiple threads computing bounds in parallel" as one gather and one
+sum), then perform the skip-sequential visit
 (:func:`sims_scan`, shared with the ADS baseline): visit only the
 records whose bound beats the *running* bsf, in the order of the file
 that holds their series — the raw file for a secondary index, the leaf
@@ -23,7 +25,8 @@ their raw-file positions (held in the resident summaries, or mapped
 from the leaf entries' ids), a materialized index's by their ranks in
 the leaf file.  Only what holds those positions is read, B series at a
 time: the raw file's blocks, by offset, or the leaf file's row groups,
-with pyarrow.  Neither search starts a Spark job.
+with pyarrow, whose tables the searches read as Arrow and numpy
+columns, never as pandas frames.  Neither search starts a Spark job.
 The refine computes every candidate's distance in one vectorized call.
 """
 from __future__ import annotations
@@ -32,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 
 from repro.core.coconut_common import CoconutIndex, Summaries, as_matrix
 from repro.core.distance import euclidean
@@ -91,16 +94,16 @@ def _leaf_window(index: CoconutIndex, pos: int, radius: int) -> slice:
 
 
 def _true_distances(
-    index: CoconutIndex, leaf_pdf: pd.DataFrame, query: np.ndarray, disk: DiskModel
+    index: CoconutIndex, leaves: pa.Table, query: np.ndarray, disk: DiskModel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, distances) of every record in ``leaf_pdf``, fetching raw
+    """(ids, distances) of every record in ``leaves``, fetching raw
     series from the raw file when the index is secondary."""
+    ids = leaves.column("id").to_numpy()
     if index.materialized:
-        mat = np.stack(leaf_pdf["series"].to_numpy())
-        ids = leaf_pdf["id"].to_numpy()
+        mat = as_matrix(leaves.column("series"), index.length)
     else:
         raw = index.raw_file()
-        pos = np.sort(raw.positions(leaf_pdf["id"].to_numpy()))  # raw-file order
+        pos = np.sort(raw.positions(ids))  # raw-file order
         mat = index.fetch_raw(pos)
         # Secondary leaves point into the raw file at arbitrary offsets:
         # each uncached fetch is a random block read.
@@ -117,27 +120,29 @@ def approximate_search(
     t0 = time.perf_counter()
     disk = DiskModel(config=index.disk_config)
     _, _, qz = query_summary(index, query)
-    window = index.directory.iloc[_leaf_window(index, _target_leaf_pos(index, qz), radius)]
+    window = _leaf_window(index, _target_leaf_pos(index, qz), radius)
     # Contiguous leaves: one sequential run covering the window.
-    disk.seq_read(sum(index.leaf_blocks(int(c)) for c in window["count"]))
+    counts = index.directory["count"].to_numpy()[window]
+    disk.seq_read(sum(index.leaf_blocks(int(c)) for c in counts))
     cols = ["id", "series"] if index.materialized else ["id", "zkey"]
-    leaf_pdf = index.read_leaves(window["leaf_id"].tolist(), columns=cols)
+    leaves = index.read_leaves(index.directory["leaf_id"].to_numpy()[window].tolist(), columns=cols)
     if not index.materialized:
         # Secondary index: the paper retrieves "all data series in a
         # specific radius from this point ... usually a disk page" — a
         # page of raw records around the query's sorted position per
         # radius step, not every offset in the (densely packed) leaves.
         # The leaves come in rank order: z-key order, ties in input order.
-        pos = int(leaf_pdf["zkey"].searchsorted(qz))
+        keys = leaves.column("zkey").to_numpy(zero_copy_only=False)
+        pos = int(np.searchsorted(keys, qz))
         half = max(1, index.disk_config.block_series * radius // 2)
-        lo = max(0, min(pos - half, len(leaf_pdf) - 2 * half))
-        leaf_pdf = leaf_pdf.iloc[lo : lo + 2 * half]
-    ids, dists = _true_distances(index, leaf_pdf, query, disk)
+        lo = max(0, min(pos - half, len(leaves) - 2 * half))
+        leaves = leaves.slice(lo, 2 * half)
+    ids, dists = _true_distances(index, leaves, query, disk)
     best = np.nanargmin(dists)  # a NaN series is never the answer; ties go to the first
     return SearchResult(
         id=int(ids[best]),
         distance=float(dists[best]),
-        leaves_visited=len(window),
+        leaves_visited=len(counts),
         visited_records=len(dists),
         approx_distance=float(dists[best]),
         disk=disk,

@@ -38,9 +38,9 @@ def interleave(symbols: np.ndarray, bits: int) -> list[bytes]:
     m, w = s.shape
     if bits < 1 or (s >= (1 << bits)).any():
         raise ValueError(f"symbols out of range for bits={bits}")
-    cols = [((s[:, j] >> i) & 1) for i in range(bits - 1, -1, -1) for j in range(w)]
-    bitmat = np.stack(cols, axis=1).astype(np.uint8)  # (m, w*bits)
-    packed = np.packbits(bitmat, axis=1)  # tail-padded with zero bits
+    shifts = np.arange(bits - 1, -1, -1, dtype=np.uint32)
+    bitmat = ((s[:, None, :] >> shifts[:, None]) & 1).astype(np.uint8)  # (m, bits, w)
+    packed = np.packbits(bitmat.reshape(m, bits * w), axis=1)  # tail-padded with zero bits
     return [row.tobytes() for row in packed]
 
 

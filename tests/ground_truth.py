@@ -21,6 +21,11 @@
   two agree.
 - The leaf of a rank: :func:`leaf_of` reads it off the directory's leaf
   ids, which the layout tests check leaves against.
+- The elementwise kernels the query path's table and broadcast forms
+  must equal bit for bit: :func:`mindist_elementwise` computes each
+  candidate's gaps from its own region edges, and
+  :func:`interleave_per_bit` builds each z-key one (level, segment) bit
+  column at a time, as Algorithm 1's InvertSum reads.
 """
 from __future__ import annotations
 
@@ -33,6 +38,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.distance import euclidean
+from repro.core.sax import region_edges
 
 
 def squared_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -147,3 +153,32 @@ def leaf_of(starts: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """Leaf id of each record rank, given the ascending leaf ids (first
     ranks): the last leaf starting at or before it."""
     return starts[np.searchsorted(starts, ranks, side="right") - 1]
+
+
+# The (w, bits) grid the kernels are checked against their references
+# on: bits=1, w=1, w*bits not a multiple of 8, and w*bits > 64.
+KERNEL_GRID = [(8, 1), (1, 4), (1, 1), (3, 3), (5, 7), (8, 8), (16, 8), (9, 10)]
+
+
+def mindist_elementwise(
+    query_paa: np.ndarray, cand_sax: np.ndarray, n: int, bits: int
+) -> np.ndarray:
+    """MINDIST from each candidate's own (m, w) region edges: the gap is
+    the query's distance to the nearest edge, 0 inside the region."""
+    q = np.asarray(query_paa, dtype=np.float64)
+    s = np.atleast_2d(np.asarray(cand_sax))
+    w = q.shape[-1]
+    lo, hi = region_edges(s, bits)
+    gap = np.where(q < lo, lo - q, np.where(q > hi, q - hi, 0.0))
+    d = np.sqrt((n / w) * np.sum(gap**2, axis=-1))
+    return d[0] if np.asarray(cand_sax).ndim == 1 else d
+
+
+def interleave_per_bit(symbols: np.ndarray, bits: int) -> list[bytes]:
+    """InvertSum one bit column at a time: for level i = bits-1 .. 0,
+    for segment j = 0 .. w-1, bit i of symbol j; packed, tail-padded."""
+    s = np.atleast_2d(np.asarray(symbols, dtype=np.uint32))
+    w = s.shape[1]
+    cols = [((s[:, j] >> i) & 1) for i in range(bits - 1, -1, -1) for j in range(w)]
+    bitmat = np.stack(cols, axis=1).astype(np.uint8)
+    return [row.tobytes() for row in np.packbits(bitmat, axis=1)]

@@ -1,6 +1,7 @@
 """Unit + integration tests for the Coconut-Tree bulk loader."""
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from repro.core.zorder import zkeys
@@ -131,10 +132,11 @@ class TestPersistedLayout:
 
     def test_read_leaves_returns_only_that_leaf(self, ctree):
         lid = int(ctree.directory.iloc[0]["leaf_id"])
-        pdf = ctree.read_leaves([lid])
-        assert len(pdf) == int(ctree.directory.iloc[0]["count"])
+        t = ctree.read_leaves([lid])
+        assert isinstance(t, pa.Table)
+        assert t.num_rows == int(ctree.directory.iloc[0]["count"])
         ids = read_in_file_order(f"{ctree.path}/leaves", ["id"])["id"]
-        assert list(pdf["id"]) == list(ids[lid : lid + len(pdf)])
+        assert t.column("id").to_pylist() == list(ids[lid : lid + t.num_rows])
 
     @pytest.mark.parametrize("name", ["ctree", "ctrie", "ctree_full"])
     def test_leaf_level_is_one_rank_ordered_file(self, name, request):
@@ -267,9 +269,64 @@ class TestPersistedLayout:
 
     def test_materialized_series_roundtrip(self, ctree_full, walk_mat):
         lid = int(ctree_full.directory.iloc[0]["leaf_id"])
-        pdf = ctree_full.read_leaves([lid]).sort_values("id")
-        for _, row in pdf.iterrows():
-            assert np.allclose(np.asarray(row["series"]), walk_mat[int(row["id"])])
+        t = ctree_full.read_leaves([lid])
+        assert t.num_rows == int(ctree_full.directory.iloc[0]["count"])
+        for i, series in zip(t.column("id").to_pylist(), t.column("series").to_pylist()):
+            assert np.allclose(np.asarray(series), walk_mat[i])
+
+
+class TestRawFileTake:
+    """``RawFile.take`` over a raw file of parts of 5, 0, 7 and 3 series,
+    in blocks of B=4: block 1 runs from the first part across the empty
+    one into the third, and block 3, the last, is short."""
+
+    B, L = 4, 3
+
+    @pytest.fixture
+    def raw(self, tmp_path):
+        from repro.core.coconut_common import RawFile, RawWriter
+
+        series = np.arange(15 * self.L, dtype=np.float64).reshape(15, self.L)
+        ids = 100 + np.arange(15)
+        with RawWriter(str(tmp_path)) as out:
+            for first, lo, hi in ((0, 0, 5), (10, 5, 5), (20, 5, 12), (40, 12, 15)):
+                out.append(first, ids[lo:hi], series[lo:hi])
+        raw = RawFile.load(str(tmp_path), self.L)
+        yield raw, series
+        raw.close()
+
+    @pytest.mark.parametrize("pos, reads", [
+        ([], []),
+        ([3, 6], [(0, 0, 5), (2, 0, 3)]),                 # one run across two parts
+        ([13], [(3, 0, 3)]),                              # the short last block
+        ([14, 0, 14, 9, 3, 0], [(0, 0, 4), (2, 3, 4), (3, 0, 3)]),
+    ], ids=["empty", "across_parts", "last_block", "unsorted_repeated"])
+    def test_rows_in_order_asked_one_read_per_run_and_part(self, raw, monkeypatch, pos, reads):
+        """The rows come back in the order asked, repeats included, from
+        one ``preadv`` per contiguous run of blocks and part file it
+        spans, given as (part, first row, rows); no position, no read."""
+        import os
+
+        raw, series = raw
+        real, calls = os.preadv, []
+
+        def spy(fd, buffers, offset, *args):
+            n = real(fd, buffers, offset, *args)
+            calls.append((fd, offset, n))
+            return n
+
+        monkeypatch.setattr(os, "preadv", spy)
+        got = raw.take(np.asarray(pos, dtype=np.int64), self.B)
+        part = {fd: j for j, fd in raw.fds.items()}
+        row = self.L * 8
+        assert [(part[fd], offset // row, n // row) for fd, offset, n in calls] == reads
+        assert got.shape == (len(pos), self.L) and got.dtype == np.float64
+        assert np.array_equal(got, series[pos])
+
+    @pytest.mark.parametrize("pos", [[15], [-1], [0, 15]])
+    def test_positions_outside_the_file_raise(self, raw, pos):
+        with pytest.raises(IndexError):
+            raw[0].take(np.asarray(pos), self.B)
 
 
 class TestConstructionCost:

@@ -202,3 +202,35 @@ def test_empty_first_series_fails_the_build(spark, tmp_path, variant, mode):
             spark, df, path=str(tmp_path / "idx"), w=8, bits=4,
             materialized=mode == "materialized",
         )
+
+
+@pytest.mark.parametrize("variant,mode", [
+    (v, m) for v in BUILDERS for m in ("secondary", "materialized")
+])
+def test_repeated_ids(spark, tmp_path, queries, variant, mode):
+    """A secondary index finds a series by its id, so ids that occur
+    twice, in different input partitions, are a ``ValueError`` before an
+    index is returned.  A materialized index finds series by rank: it
+    keeps both series of each repeated id and answers over all of them."""
+    mat = series_matrix(n_series=120, length=LENGTH, kind="walk", seed=11)
+    ids = np.arange(120) % 100  # 0..19 twice
+    df = spark.createDataFrame(
+        pd.DataFrame({"id": ids, "series": list(mat)}), "id long, series array<double>"
+    )
+
+    def build():
+        return BUILDERS[variant](
+            spark, df, path=str(tmp_path / "idx"), w=8, bits=4, leaf_capacity=CAP,
+            materialized=mode == "materialized",
+        )
+
+    if mode == "secondary":
+        with pytest.raises(ValueError, match="more than once"):
+            build()
+        return
+    idx = build()
+    assert idx.n_series == 120
+    for q in queries:
+        _, gd = exact_nn_numpy(ids, mat, q)
+        assert exact_search(idx, q).distance == pytest.approx(gd)
+    idx.close()

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from repro.core.distance import euclidean
 from repro.core.mindist import mindist_paa_sax
 from repro.core.paa import paa
-from repro.core.sax import sax
+from repro.core.sax import breakpoints, sax
+from tests.ground_truth import KERNEL_GRID, mindist_elementwise
 
 
 def _series(seed, n=64):
@@ -70,3 +71,34 @@ class TestMindistPaaSax:
         md = mindist_paa_sax(paa(a, 8), sax(b, 8, 4), 64, 4)
         assert md <= euclidean(a, b) + 1e-9
 
+
+class TestTableEqualsElementwise:
+    """The per-query gap table gives the bounds the elementwise formula
+    does, bit for bit, whatever the candidates' shape and wherever the
+    query falls."""
+
+    @pytest.mark.parametrize("w, bits", KERNEL_GRID)
+    def test_2d_candidates(self, w, bits):
+        g = np.random.default_rng(w * 100 + bits)
+        cands = g.integers(0, 1 << bits, (300, w))
+        for q in (g.standard_normal(w), 3 * g.standard_normal(w)):
+            got = mindist_paa_sax(q, cands, 16 * w, bits)
+            assert np.array_equal(got, mindist_elementwise(q, cands, 16 * w, bits))
+
+    @pytest.mark.parametrize("w, bits", KERNEL_GRID)
+    def test_1d_candidate(self, w, bits):
+        g = np.random.default_rng(w * 100 + bits + 1)
+        q, cand = g.standard_normal(w), g.integers(0, 1 << bits, w)
+        got = mindist_paa_sax(q, cand, 16 * w, bits)
+        assert np.ndim(got) == 0
+        assert got == mindist_elementwise(q, cand, 16 * w, bits)
+
+    @pytest.mark.parametrize("w, bits", KERNEL_GRID)
+    def test_query_outside_outer_breakpoints(self, w, bits):
+        """Queries below the lowest and above the highest breakpoint, and
+        on a breakpoint, against every symbol."""
+        bp = breakpoints(bits)
+        cands = np.tile(np.arange(1 << bits)[:, None], (1, w))
+        for q in (np.full(w, bp[0] - 2.5), np.full(w, bp[-1] + 2.5), np.full(w, bp[0])):
+            got = mindist_paa_sax(q, cands, 16 * w, bits)
+            assert np.array_equal(got, mindist_elementwise(q, cands, 16 * w, bits))

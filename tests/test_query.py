@@ -250,6 +250,32 @@ class TestNoSparkJobs:
         pd.testing.assert_frame_equal(got[0][0], idx.directory)
 
 
+class TestNoPandasOnQueryPath:
+    @pytest.mark.parametrize("fixture", ["ctree", "ctree_full"])
+    def test_searches_convert_no_table_to_pandas(
+        self, fixture, request, monkeypatch, queries, ground_truth
+    ):
+        """Leaf reads stay Arrow and numpy: with Arrow's conversion to
+        pandas made to fail, both searches, summaries and raw positions
+        loaded cold, still give the answers they give without it, and
+        the exact one is the brute-force answer."""
+        import pyarrow.pandas_compat
+
+        idx = request.getfixturevalue(fixture)
+        want = [approximate_search(idx, q) for q in queries]
+        idx.close()
+
+        def no_pandas(*args, **kwargs):
+            raise AssertionError("a search converted an Arrow table to pandas")
+
+        monkeypatch.setattr(pyarrow.pandas_compat, "table_to_dataframe", no_pandas)
+        for q, a, (gid, gd) in zip(queries, want, ground_truth):
+            r = exact_search(idx, q)
+            assert (r.id, r.distance) == (gid, pytest.approx(gd))
+            got = approximate_search(idx, q)
+            assert (got.id, got.distance, got.visited_records) == (a.id, a.distance, a.visited_records)
+
+
 class TestRadius:
     @pytest.mark.parametrize("search", [approximate_search, exact_search])
     @pytest.mark.parametrize("radius", [0, -1])

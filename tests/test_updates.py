@@ -252,3 +252,31 @@ class TestMergeInput:
         with pytest.raises(ValueError, match="length 64"):
             merge_batch(merged_index, batch, path=str(tmp_path / "bad"))
         assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("batch_ids", [[1000, 1001, 1000], [1000, 5]], ids=["repeats", "old_id"])
+    def test_repeated_id_batch_raises_before_writing(self, spark, tmp_path, merged_index, batch_ids):
+        """Into a secondary index, a batch whose ids repeat, or name a
+        series the index holds, is a ``ValueError``, and nothing is
+        written: the merged raw file could find only one of them."""
+        batch = _frame(spark, batch_ids, series_matrix(n_series=len(batch_ids), length=LENGTH, seed=3))
+        with pytest.raises(ValueError, match="more than once"):
+            merge_batch(merged_index, batch, path=str(tmp_path / "bad"))
+        assert not (tmp_path / "bad").exists()
+
+    def test_materialized_merge_keeps_repeated_ids(self, spark, tmp_path):
+        """A materialized index finds series by rank, so repeated ids,
+        within the batch and with the index, are kept."""
+        old_mat = series_matrix(n_series=60, length=LENGTH, seed=13)
+        old = build_coconut_tree(
+            spark, _frame(spark, np.arange(60), old_mat), path=str(tmp_path / "old"),
+            materialized=True, **KW,
+        )
+        batch_mat = series_matrix(n_series=3, length=LENGTH, seed=14)
+        merged = merge_batch(old, _frame(spark, [7, 7, 70], batch_mat), path=str(tmp_path / "m"))
+        ids = np.concatenate([np.arange(60), [7, 7, 70]])
+        mat = np.vstack([old_mat, batch_mat])
+        assert merged.n_series == 63
+        for q in query_workload(n_queries=3, length=LENGTH):
+            _, gd = exact_nn_numpy(ids, mat, q)
+            assert exact_search(merged, q).distance == pytest.approx(gd)
+        merged.close()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.core.sax import sax
 from repro.core.zorder import deinterleave, first64, interleave, zkeys
 from tests.conftest import LENGTH
-from tests.ground_truth import prefix_key, reduce_word
+from tests.ground_truth import KERNEL_GRID, interleave_per_bit, prefix_key, reduce_word
 
 
 def key_to_int(zkey: bytes) -> int:
@@ -41,6 +41,15 @@ class TestInterleave:
         keys = interleave(syms, bits)
         assert all(len(k) == (w * bits + 7) // 8 for k in keys)
         assert np.array_equal(deinterleave(keys, w, bits), syms)
+
+    @pytest.mark.parametrize("w, bits", KERNEL_GRID)
+    def test_equals_per_bit_invertsum(self, w, bits):
+        """The broadcast interleave gives the keys the per-bit InvertSum
+        loop does, byte for byte; the all-0 and all-1 words included."""
+        g = np.random.default_rng(w * 100 + bits)
+        syms = g.integers(0, 1 << bits, (200, w)).astype(np.uint32)
+        syms[0], syms[1] = 0, (1 << bits) - 1
+        assert interleave(syms, bits) == interleave_per_bit(syms, bits)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
